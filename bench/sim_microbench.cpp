@@ -120,7 +120,31 @@ BENCHMARK(BM_Rng);
 
 // ---------------------------------------------------------------------------
 // Macro benchmarks: whole-stack workloads, reported as engine events/sec.
+// An event here is a dispatched event or a WaitChange poll phase passed
+// without one (Simulator::watch_steps), so the rate counts the same
+// simulated work whether a wait spins with Delay or with WaitChange.
+// The two parts are reported per iteration as the `dispatched` and
+// `watch_steps` counters.
 // ---------------------------------------------------------------------------
+
+struct MacroWork {
+  std::uint64_t dispatched = 0;
+  std::uint64_t watch_steps = 0;
+
+  template <typename Engine>  // Simulator or Cluster
+  void Add(const Engine& e) {
+    dispatched += e.events_processed();
+    watch_steps += e.watch_steps();
+  }
+  void Report(benchmark::State& state) const {
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(dispatched + watch_steps));
+    state.counters["dispatched"] = benchmark::Counter(
+        static_cast<double>(dispatched), benchmark::Counter::kAvgIterations);
+    state.counters["watch_steps"] = benchmark::Counter(
+        static_cast<double>(watch_steps), benchmark::Counter::kAvgIterations);
+  }
+};
 
 // 64-node fat-tree ring allreduce (the coll_scale_test workload at full
 // scale): boot + network mapping + lazy links + one allreduce of 64 int64
@@ -132,7 +156,7 @@ void BM_MacroAllreduce64(benchmark::State& state) {
   using vmmc::vmmc_core::ClusterOptions;
   constexpr int kNodes = 64;
   constexpr std::size_t kElems = 64;
-  std::uint64_t events = 0;
+  MacroWork work;
   for (auto _ : state) {
     Simulator sim;
     vmmc::Params params;
@@ -169,9 +193,9 @@ void BM_MacroAllreduce64(benchmark::State& state) {
       state.SkipWithError("allreduce did not finish");
       return;
     }
-    events += sim.events_processed();
+    work.Add(sim);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  work.Report(state);
 }
 BENCHMARK(BM_MacroAllreduce64)->Unit(benchmark::kMillisecond);
 
@@ -183,7 +207,7 @@ void BM_MacroFaultSweepReplay(benchmark::State& state) {
   using namespace vmmc::bench;
   constexpr std::uint32_t kLen = 4096;
   constexpr int kIters = 200;
-  std::uint64_t events = 0;
+  MacroWork work;
   for (auto _ : state) {
     TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024);
     LinkFaultRule rule;
@@ -210,9 +234,9 @@ void BM_MacroFaultSweepReplay(benchmark::State& state) {
       state.SkipWithError("stream stalled");
       return;
     }
-    events += fx.sim().events_processed();
+    work.Add(fx.sim());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  work.Report(state);
 }
 BENCHMARK(BM_MacroFaultSweepReplay)->Unit(benchmark::kMillisecond);
 
@@ -225,7 +249,7 @@ void BM_MacroRendezvousStream(benchmark::State& state) {
   using vmmc_core::P2pChannel;
   constexpr std::uint32_t kLen = 64 * 1024;
   constexpr int kIters = 200;
-  std::uint64_t events = 0;
+  MacroWork work;
   for (auto _ : state) {
     TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024);
     std::unique_ptr<P2pChannel> ca, cb;
@@ -263,9 +287,9 @@ void BM_MacroRendezvousStream(benchmark::State& state) {
       state.SkipWithError("stream stalled");
       return;
     }
-    events += fx.sim().events_processed();
+    work.Add(fx.sim());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  work.Report(state);
 }
 BENCHMARK(BM_MacroRendezvousStream)->Unit(benchmark::kMillisecond);
 
@@ -284,7 +308,7 @@ void BM_MacroAllreduce64Par(benchmark::State& state) {
   constexpr int kNodes = 64;
   constexpr std::size_t kElems = 64;
   const int threads = static_cast<int>(state.range(0));
-  std::uint64_t events = 0;
+  MacroWork work;
   for (auto _ : state) {
     vmmc::Params params;
     auto options = ClusterOptions::FromSpec("fattree:64@16");
@@ -330,9 +354,9 @@ void BM_MacroAllreduce64Par(benchmark::State& state) {
       state.SkipWithError("allreduce did not finish");
       return;
     }
-    events += cluster.events_processed();
+    work.Add(cluster);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  work.Report(state);
 }
 BENCHMARK(BM_MacroAllreduce64Par)
     ->Arg(1)
@@ -350,7 +374,7 @@ void BM_MacroFaultSweepPar(benchmark::State& state) {
   constexpr std::uint32_t kLen = 4096;
   constexpr int kIters = 200;
   const int threads = static_cast<int>(state.range(0));
-  std::uint64_t events = 0;
+  MacroWork work;
   for (auto _ : state) {
     TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024, threads);
     LinkFaultRule rule;
@@ -376,9 +400,9 @@ void BM_MacroFaultSweepPar(benchmark::State& state) {
       state.SkipWithError("stream stalled");
       return;
     }
-    events += fx.cluster().events_processed();
+    work.Add(fx.cluster());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  work.Report(state);
 }
 BENCHMARK(BM_MacroFaultSweepPar)
     ->Arg(1)

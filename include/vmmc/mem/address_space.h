@@ -100,6 +100,12 @@ class AddressSpace {
   Result<std::uint32_t> ReadU32(VirtAddr va) const;
   Status WriteU32(VirtAddr va, std::uint32_t value);
 
+  // Stable host address of the 4-byte word at `va`, for watching it with
+  // sim::Simulator::WaitChange (DMA and CPU writes land in the same
+  // bytes). Valid until the page is unmapped or its heap block freed;
+  // nullptr if `va` is unmapped or the word straddles a page.
+  const void* WordPtr(VirtAddr va);
+
   // Pin/unpin every page overlapping [va, va+len). Pins nest.
   Status Pin(VirtAddr va, std::uint64_t len);
   Status Unpin(VirtAddr va, std::uint64_t len);

@@ -37,6 +37,11 @@ class PhysicalMemory {
   Status Read(PhysAddr addr, std::span<std::uint8_t> out) const;
   Status Write(PhysAddr addr, std::span<const std::uint8_t> in);
 
+  // Host address of the byte at `addr`, backing its frame if untouched.
+  // The pointer stays valid, and sees every later Write to the frame,
+  // until the frame is freed; nullptr if `addr` is out of range.
+  const std::uint8_t* HostPtr(PhysAddr addr);
+
  private:
   using Frame = std::array<std::uint8_t, kPageSize>;
 

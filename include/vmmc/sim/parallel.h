@@ -134,6 +134,8 @@ class ParallelEngine {
 
   // Total events dispatched across all shards since construction.
   std::uint64_t events_processed() const;
+  // Total WaitChange poll-lane rotations across all shards.
+  std::uint64_t watch_steps() const;
   // Maximum now() over shards — the fleet-wide clock after a run.
   Tick now() const;
   // Folds every shard's metrics registry into `out` (counters sum,

@@ -21,6 +21,12 @@
 // order is bit-identical to a (time, seq)-keyed priority queue: seq is a
 // single monotone counter consumed by every scheduling path, so the key
 // order is total.
+//
+// Simulated spin-waits (a host polling a word the NIC DMAs into) get a
+// fourth tier, the per-period poll lanes behind WaitChange: a watcher
+// whose word has not changed is re-filed one period later inside the
+// queue, without a dispatch, so spinning costs no events while keeping
+// the exact (time, seq) schedule of a Delay loop.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +34,7 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <new>
@@ -126,8 +133,17 @@ class Simulator {
   FaultInjector& faults() { return faults_; }
 
   std::uint64_t events_processed() const { return processed_; }
+  // Poll phases a WaitChange watcher passed with its word unchanged. Each
+  // one is an event a Delay spin loop would have dispatched, so
+  // events_processed() + watch_steps() is the Delay-loop event count.
+  // Also the registry counter `sim.watch_steps` (registered on the first
+  // WaitChange).
+  std::uint64_t watch_steps() const {
+    return watch_steps_ != nullptr ? watch_steps_->value() : 0;
+  }
   bool empty() const {
-    return heap_.empty() && fifo_head_ == nullptr && tail_head_ == nullptr;
+    return heap_.empty() && fifo_head_ == nullptr && tail_head_ == nullptr &&
+           watching_ == 0;
   }
 
   // Schedules `fn` at absolute time `t` (must be >= now()).
@@ -190,11 +206,16 @@ class Simulator {
   int shard_id() const { return shard_id_; }
 
   // Time of the earliest queued event, or Tick max if the queue is empty.
-  // The parallel engine's window-selection scan; O(1).
+  // The parallel engine's window-selection scan; O(1) plus one look per
+  // poll lane. A lane head counts as an event: it is the next instant a
+  // watcher polls, and the poll may find its word changed.
   Tick next_event_time() const {
     Tick t = fifo_head_ != nullptr ? now_ : kNoEventTime;
     if (tail_head_ != nullptr) t = std::min(t, tail_head_->time);
     if (!heap_.empty()) t = std::min(t, heap_.front().time);
+    for (const PollLane& lane : lanes_) {
+      if (lane.head != nullptr) t = std::min(t, lane.head->time);
+    }
     return t;
   }
 
@@ -232,6 +253,33 @@ class Simulator {
     return Awaiter{*this, delay};
   }
 
+  // Awaitable: exactly `while (unchanged) co_await Delay(period);` where
+  // "unchanged" means the 4 bytes at `word` still hold the value they had
+  // at suspension. The calling coroutine resumes at the first poll phase
+  // (suspension time + k * period) at which the word differs, with the
+  // (time, seq) key the Delay loop's event for that phase would have had,
+  // so every simulated result is bit-identical; the phases in between are
+  // counted in watch_steps() instead of being dispatched. Typical use is
+  // the spin on a word the NIC DMAs into:
+  //   while (Read(flag) != want) co_await sim.WaitChange(ptr, poll);
+  // `word` must stay valid (its buffer allocated) for the whole wait. A
+  // null `word` — a location the caller cannot watch directly — degrades
+  // to Delay(period).
+  auto WaitChange(const void* word, Tick period) {
+    struct Awaiter {
+      Simulator& sim;
+      const void* word;
+      Tick period;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        sim.Watch(h, word, period);
+      }
+      void await_resume() const noexcept {}
+    };
+    assert(period > 0 && "a poll period must be positive");
+    return Awaiter{*this, word, period};
+  }
+
  private:
   // One scheduled event. Nodes are pool-allocated and recycled through an
   // intrusive free list; `next` doubles as the now-FIFO chain link.
@@ -239,13 +287,25 @@ class Simulator {
   // reads (time, seq, next, coro, kind) sits in the node's first cache
   // line; the callback capture area comes last.
   struct EventNode {
-    enum class Kind : std::uint8_t { kCallback, kResume, kSpawn };
+    enum class Kind : std::uint8_t { kCallback, kResume, kSpawn, kWatch };
     Tick time = 0;
     std::uint64_t seq = 0;
-    EventNode* next = nullptr;  // free-list / now-FIFO link
-    void* coro = nullptr;       // kResume / kSpawn: coroutine frame address
+    EventNode* next = nullptr;  // free-list / now-FIFO / lane link
+    void* coro = nullptr;       // kResume / kSpawn / kWatch: frame address
     Kind kind = Kind::kCallback;
-    detail::InlineFn fn;        // kCallback only
+    std::uint32_t watched = 0;     // kWatch: word value at suspension
+    const void* word = nullptr;    // kWatch: the watched 4-byte word
+    detail::InlineFn fn;           // kCallback only
+  };
+
+  // One poll lane: the kWatch nodes of one period, sorted by (time, seq).
+  // A node is filed at now() + period with a fresh seq, and every node
+  // already in the lane was filed at most one period earlier, so appending
+  // keeps the lane sorted without any search.
+  struct PollLane {
+    Tick period;
+    EventNode* head = nullptr;
+    EventNode* tail = nullptr;
   };
 
   // Heap entries carry the full (time, seq) key next to the node pointer:
@@ -286,8 +346,9 @@ class Simulator {
   // event of the sorted tail list append there in O(1) — simulations
   // overwhelmingly schedule in increasing time order, so this absorbs the
   // heap traffic. Only out-of-order future pushes fall through to the
-  // 4-ary heap. PopNext takes the global (time, seq) minimum of the three
-  // tiers, so dispatch order is identical to a single priority queue.
+  // 4-ary heap. PopNext takes the global (time, seq) minimum of these
+  // three tiers and the poll lanes, so dispatch order is identical to a
+  // single priority queue.
   void Enqueue(EventNode* n) {
     if (n->time == now_) {
       n->next = nullptr;
@@ -330,14 +391,39 @@ class Simulator {
   }
 
   EventNode* HeapPopTop();
-  EventNode* PopNext();
+  // Pops the (time, seq)-minimum event if its time is <= limit, rotating
+  // due watchers whose word is unchanged on the way; nullptr if nothing
+  // dispatchable is due.
+  EventNode* PopNext(Tick limit);
+  // Step() bounded by `limit` (see PopNext).
+  bool StepUntil(Tick limit);
   void Dispatch(EventNode* n);
+
+  void Watch(std::coroutine_handle<> h, const void* word, Tick period);
+  static bool WordChanged(const EventNode* n) {
+    std::uint32_t v;
+    std::memcpy(&v, n->word, sizeof v);
+    return v != n->watched;
+  }
+  static void LaneAppend(PollLane& lane, EventNode* n) {
+    n->next = nullptr;
+    if (lane.tail != nullptr) {
+      lane.tail->next = n;
+    } else {
+      lane.head = n;
+    }
+    lane.tail = n;
+  }
+  bool AnyWatchedWordChanged() const;
 
   std::vector<HeapSlot> heap_;        // out-of-order future events, 4-ary min-heap
   EventNode* fifo_head_ = nullptr;    // events at now(), FIFO order
   EventNode* fifo_tail_ = nullptr;
   EventNode* tail_head_ = nullptr;    // future events, sorted by (time, seq)
   EventNode* tail_tail_ = nullptr;
+  std::vector<PollLane> lanes_;       // one per WaitChange period
+  std::uint64_t watching_ = 0;        // kWatch nodes across all lanes
+  obs::Counter* watch_steps_ = nullptr;  // "sim.watch_steps"
   EventNode* free_nodes_ = nullptr;   // recycled nodes
   EventNode* wilderness_ = nullptr;   // unconstructed tail of newest block
   EventNode* wilderness_end_ = nullptr;

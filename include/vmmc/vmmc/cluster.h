@@ -100,9 +100,11 @@ class Cluster {
   bool DriveUntil(std::function<bool()> pred);
   // Runs until no events remain anywhere; returns events dispatched.
   std::uint64_t DriveUntilQuiescent();
-  // Fleet-wide clock (max over shards) / total events dispatched.
+  // Fleet-wide clock (max over shards) / total events dispatched / total
+  // WaitChange poll phases passed without a dispatch.
   sim::Tick time_now() const;
   std::uint64_t events_processed() const;
+  std::uint64_t watch_steps() const;
   // Folds every shard's metrics into `out` (single-simulator: the one
   // registry). Use for dumps; per-instrument reads on a quiesced cluster
   // may also go directly to the owning shard's registry.

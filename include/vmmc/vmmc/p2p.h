@@ -94,6 +94,8 @@ class P2pChannel {
   // rendezvous source registration once it has.
   sim::Task<Status> WaitAcked(std::uint32_t seq);
   sim::Task<Status> SendTrailer(std::uint32_t len, std::uint32_t kind);
+  // Spins until the next message's trailer has landed; returns its length.
+  sim::Task<std::uint32_t> WaitTrailer();
   std::uint32_t ReadWord(mem::VirtAddr va) const;
   void WriteWord(mem::VirtAddr va, std::uint32_t v);
 

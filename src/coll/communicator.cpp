@@ -82,7 +82,7 @@ sim::Task<Status> Communicator::EnsureLinks(int a, int b) {
     ++pending;
     sim.Spawn(EnsureOne(this, peer, &pending, &first_error));
   }
-  while (pending > 0) co_await sim.Delay(500);
+  while (pending > 0) co_await sim.WaitChange(&pending, 500);
   co_return first_error;
 }
 

@@ -185,6 +185,7 @@ sim::Task<Result<mem::VirtAddr>> DsmNode::EnsurePage(std::uint32_t page,
     if (!reply.ok()) co_return Out(reply.status());
     const mem::VirtAddr flag_va =
         cache_ + options_.total_pages * mem::kPageSize + page * 4;
+    const void* flag = ep_->memory().WordPtr(flag_va);
     for (;;) {
       std::uint8_t b[4];
       (void)ep_->ReadBuffer(flag_va, b);
@@ -192,7 +193,7 @@ sim::Task<Result<mem::VirtAddr>> DsmNode::EnsurePage(std::uint32_t page,
                                  (std::uint32_t{b[2]} << 16) |
                                  (std::uint32_t{b[3]} << 24);
       if (seen == gen) break;
-      co_await cluster_.simulator().Delay(2000);
+      co_await cluster_.simulator().WaitChange(flag, 2000);
     }
     state.valid = true;
     state.dirty = false;

@@ -148,6 +148,13 @@ Result<std::uint32_t> AddressSpace::ReadU32(VirtAddr va) const {
          (std::uint32_t{buf[2]} << 16) | (std::uint32_t{buf[3]} << 24);
 }
 
+const void* AddressSpace::WordPtr(VirtAddr va) {
+  if (PageOffset(va) > kPageSize - 4) return nullptr;
+  auto pa = Translate(va);
+  if (!pa.ok()) return nullptr;
+  return pm_.HostPtr(pa.value());
+}
+
 Status AddressSpace::WriteU32(VirtAddr va, std::uint32_t value) {
   std::uint8_t buf[4] = {
       static_cast<std::uint8_t>(value),

@@ -52,6 +52,11 @@ PhysicalMemory::Frame& PhysicalMemory::EnsureBacking(Pfn pfn) {
   return *slot;
 }
 
+const std::uint8_t* PhysicalMemory::HostPtr(PhysAddr addr) {
+  if (addr >= size_bytes()) return nullptr;
+  return EnsureBacking(PageNumber(addr)).data() + PageOffset(addr);
+}
+
 Status PhysicalMemory::Read(PhysAddr addr, std::span<std::uint8_t> out) const {
   if (out.empty()) return OkStatus();
   if (addr + out.size() > size_bytes() || addr + out.size() < addr) {

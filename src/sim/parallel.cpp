@@ -183,6 +183,12 @@ std::uint64_t ParallelEngine::events_processed() const {
   return total;
 }
 
+std::uint64_t ParallelEngine::watch_steps() const {
+  std::uint64_t total = 0;
+  for (const auto& s : shards_) total += s->sim->watch_steps();
+  return total;
+}
+
 Tick ParallelEngine::now() const {
   Tick t = 0;
   for (const auto& s : shards_) t = std::max(t, s->sim->now());

@@ -40,6 +40,7 @@ Simulator::~Simulator() {
   for (const HeapSlot& s : heap_) s.node->fn.Reset();
   for (EventNode* n = fifo_head_; n != nullptr; n = n->next) n->fn.Reset();
   for (EventNode* n = tail_head_; n != nullptr; n = n->next) n->fn.Reset();
+  // Lane nodes (kWatch) carry no captures.
   std::lock_guard<std::mutex> lock(BlockCacheMutex());
   auto& cache = BlockCache();
   for (auto& block : pool_blocks_) {
@@ -109,41 +110,114 @@ Simulator::EventNode* Simulator::HeapPopTop() {
   return top;
 }
 
-Simulator::EventNode* Simulator::PopNext() {
-  // Global (time, seq) minimum across the three tiers. Tail and heap hold
-  // the strictly-future pushes; on equal times their seqs decide. FIFO
-  // entries were allocated at now() itself, i.e. after any tail/heap
-  // event that has since reached time == now(), so the FIFO only wins
-  // when neither of the other tiers is due at the current time — this
-  // keeps the order bit-identical to one (time, seq) heap.
-  EventNode* c = tail_head_;
-  bool from_tail = c != nullptr;
-  if (!heap_.empty()) {
-    const HeapSlot& top = heap_.front();
-    if (c == nullptr || top.time < c->time ||
-        (top.time == c->time && top.seq < c->seq)) {
-      c = top.node;
-      from_tail = false;
+Simulator::EventNode* Simulator::PopNext(Tick limit) {
+  // Global (time, seq) minimum across the four tiers. Tail, heap and the
+  // poll lanes hold the strictly-future pushes; on equal times their seqs
+  // decide. FIFO entries were allocated at now() itself, i.e. after any
+  // other event that has since reached time == now(), so the FIFO only
+  // wins when no other tier is due at the current time — this keeps the
+  // order bit-identical to one (time, seq) heap.
+  bool wake_pending = false;
+  for (;;) {
+    EventNode* c = tail_head_;
+    bool from_tail = c != nullptr;
+    if (!heap_.empty()) {
+      const HeapSlot& top = heap_.front();
+      if (c == nullptr || top.time < c->time ||
+          (top.time == c->time && top.seq < c->seq)) {
+        c = top.node;
+        from_tail = false;
+      }
+    }
+    PollLane* lane = nullptr;
+    if (watching_ != 0) {
+      for (PollLane& l : lanes_) {
+        EventNode* h = l.head;
+        if (h != nullptr && (c == nullptr || h->time < c->time ||
+                             (h->time == c->time && h->seq < c->seq))) {
+          c = h;
+          lane = &l;
+        }
+      }
+    }
+    if (fifo_head_ != nullptr && (c == nullptr || c->time != now_)) {
+      EventNode* n = fifo_head_;
+      fifo_head_ = n->next;
+      if (fifo_head_ == nullptr) fifo_tail_ = nullptr;
+      return n;
+    }
+    if (c == nullptr || c->time > limit) return nullptr;
+    if (lane == nullptr) {
+      if (from_tail) {
+        tail_head_ = c->next;
+        if (tail_head_ == nullptr) tail_tail_ = nullptr;
+        return c;
+      }
+      return HeapPopTop();
+    }
+    const bool changed = WordChanged(c);
+    // Unbounded runs only: when nothing but watchers is queued, no code
+    // can run to change a word before some watcher wakes, so if none has
+    // a changed word the run is over (a Delay loop would spin forever).
+    if (!changed && limit == kNoEventTime && !wake_pending &&
+        fifo_head_ == nullptr && tail_head_ == nullptr && heap_.empty()) {
+      if (!AnyWatchedWordChanged()) return nullptr;
+      wake_pending = true;
+    }
+    lane->head = c->next;
+    if (lane->head == nullptr) lane->tail = nullptr;
+    if (changed) {
+      --watching_;
+      return c;
+    }
+    // The phase the Delay loop would have dispatched, minus the dispatch:
+    // the next phase gets its key exactly where the loop would allocate
+    // it.
+    c->time += lane->period;
+    c->seq = seq_++;
+    LaneAppend(*lane, c);
+    watch_steps_->Inc();
+  }
+}
+
+bool Simulator::AnyWatchedWordChanged() const {
+  for (const PollLane& lane : lanes_) {
+    for (const EventNode* n = lane.head; n != nullptr; n = n->next) {
+      if (WordChanged(n)) return true;
     }
   }
-  if (fifo_head_ != nullptr && (c == nullptr || c->time != now_)) {
-    EventNode* n = fifo_head_;
-    fifo_head_ = n->next;
-    if (fifo_head_ == nullptr) fifo_tail_ = nullptr;
-    return n;
+  return false;
+}
+
+void Simulator::Watch(std::coroutine_handle<> h, const void* word,
+                      Tick period) {
+  if (word == nullptr) {
+    Resume(h, period);
+    return;
   }
-  if (c == nullptr) return nullptr;
-  if (from_tail) {
-    tail_head_ = c->next;
-    if (tail_head_ == nullptr) tail_tail_ = nullptr;
-    return c;
+  EventNode* n = AllocNode(now_ + period);
+  n->kind = EventNode::Kind::kWatch;
+  n->coro = h.address();
+  n->word = word;
+  std::memcpy(&n->watched, word, sizeof n->watched);
+  PollLane* lane = nullptr;
+  for (PollLane& l : lanes_) {
+    if (l.period == period) lane = &l;
   }
-  return HeapPopTop();
+  if (lane == nullptr) {
+    if (watch_steps_ == nullptr) {
+      watch_steps_ = &metrics_.GetCounter("sim.watch_steps");
+    }
+    lane = &lanes_.emplace_back(PollLane{period});
+  }
+  LaneAppend(*lane, n);
+  ++watching_;
 }
 
 void Simulator::Dispatch(EventNode* n) {
   switch (n->kind) {
     case EventNode::Kind::kResume:
+    case EventNode::Kind::kWatch:  // a watcher whose word changed
       std::coroutine_handle<>::from_address(n->coro).resume();
       break;
     case EventNode::Kind::kSpawn: {
@@ -162,8 +236,10 @@ void Simulator::Dispatch(EventNode* n) {
   FreeNode(n);
 }
 
-bool Simulator::Step() {
-  EventNode* n = PopNext();
+bool Simulator::Step() { return StepUntil(kNoEventTime); }
+
+bool Simulator::StepUntil(Tick limit) {
+  EventNode* n = PopNext(limit);
   if (n == nullptr) return false;
   assert(n->time >= now_);
   now_ = n->time;
@@ -179,19 +255,9 @@ std::uint64_t Simulator::Run(std::uint64_t max_events) {
 }
 
 std::uint64_t Simulator::RunWindow(Tick end) {
+  // Now-FIFO events are at now() < end, so they always run.
   std::uint64_t n = 0;
-  for (;;) {
-    if (fifo_head_ != nullptr) {  // now-FIFO events are at now() < end
-      Step();
-      ++n;
-      continue;
-    }
-    const bool tail_due = tail_head_ != nullptr && tail_head_->time < end;
-    const bool heap_due = !heap_.empty() && heap_.front().time < end;
-    if (!tail_due && !heap_due) break;
-    Step();
-    ++n;
-  }
+  while (StepUntil(end - 1)) ++n;
   // Advance to the window boundary even when idle. Every shard's clock
   // lands on the same boundary each iteration, so shard clocks never
   // diverge: work injected between engine runs (spawns at a shard-local
@@ -203,15 +269,7 @@ std::uint64_t Simulator::RunWindow(Tick end) {
 
 void Simulator::RunUntilTime(Tick t) {
   assert(t >= now_);
-  for (;;) {
-    if (fifo_head_ != nullptr) {  // now-FIFO events are at now() <= t
-      Step();
-      continue;
-    }
-    const bool tail_due = tail_head_ != nullptr && tail_head_->time <= t;
-    const bool heap_due = !heap_.empty() && heap_.front().time <= t;
-    if (!tail_due && !heap_due) break;
-    Step();
+  while (StepUntil(t)) {
   }
   now_ = t;
 }

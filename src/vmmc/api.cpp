@@ -129,6 +129,8 @@ sim::Task<Result<ImportedBuffer>> Endpoint::ImportBuffer(int remote_node,
         ++attempts >= options.max_attempts) {
       co_return result;
     }
+    // vmmc-lint: allow(delay-spin): a retry interval between daemon
+    // lookups, not a poll of a memory word
     co_await sim.Delay(options.retry_interval);
   }
 }
@@ -429,8 +431,10 @@ sim::Task<Status> Endpoint::RdmaRead(RemoteTarget src, std::uint32_t len,
   }
 
   // Spin until the server's fin chunk lands in our fin word.
+  const mem::VirtAddr fin = fin_base_ + fin_slot * 4;
+  const void* fin_word = memory().WordPtr(fin);
   for (;;) {
-    auto word = memory().ReadU32(fin_base_ + fin_slot * 4);
+    auto word = memory().ReadU32(fin);
     if (word.ok()) {
       if (word.value() == op) break;
       if (word.value() == (op | 0x8000'0000u)) {
@@ -438,7 +442,7 @@ sim::Task<Status> Endpoint::RdmaRead(RemoteTarget src, std::uint32_t len,
         co_return PermissionDenied("remote rejected the read source range");
       }
     }
-    co_await sim.Delay(params_.vmmc.p2p.poll);
+    co_await sim.WaitChange(fin_word, params_.vmmc.p2p.poll);
   }
   free_fin_slots_.push_back(fin_slot);
   co_return OkStatus();

@@ -152,6 +152,10 @@ std::uint64_t Cluster::events_processed() const {
                             : sim_.events_processed();
 }
 
+std::uint64_t Cluster::watch_steps() const {
+  return engine_ != nullptr ? engine_->watch_steps() : sim_.watch_steps();
+}
+
 void Cluster::MergeMetricsInto(obs::Registry& out) const {
   if (engine_ != nullptr) {
     engine_->MergeMetricsInto(out);

@@ -85,7 +85,8 @@ sim::Task<Status> P2pChannel::SetupBuffers() {
 
 sim::Task<Status> P2pChannel::WaitAcked(std::uint32_t seq) {
   sim::Simulator& sim = ep_.machine().kernel().simulator();
-  while (ReadWord(ack_word) != seq) co_await sim.Delay(params_.poll);
+  const void* word = ep_.memory().WordPtr(ack_word);
+  while (ReadWord(ack_word) != seq) co_await sim.WaitChange(word, params_.poll);
   if (pending_region_live_) {
     // The peer pulled the last rendezvous payload: its source
     // registration can go back to the cache.
@@ -203,16 +204,21 @@ sim::Task<Status> P2pChannel::Send(std::span<const std::uint8_t> data) {
   co_return co_await Send(rdv_staging_, len);
 }
 
+sim::Task<std::uint32_t> P2pChannel::WaitTrailer() {
+  sim::Simulator& sim = ep_.machine().kernel().simulator();
+  const mem::VirtAddr trailer = recv_slot + eager_cap();
+  const void* word = ep_.memory().WordPtr(trailer + 8);
+  while (ReadWord(trailer + 8) != next_recv_seq) {
+    co_await sim.WaitChange(word, params_.poll);
+  }
+  co_return ReadWord(trailer);
+}
+
 sim::Task<Result<std::uint32_t>> P2pChannel::RecvInto(mem::VirtAddr dst,
                                                       std::uint32_t cap) {
   using Out = Result<std::uint32_t>;
-  sim::Simulator& sim = ep_.machine().kernel().simulator();
-  const mem::VirtAddr trailer = recv_slot + eager_cap();
-  while (ReadWord(trailer + 8) != next_recv_seq) {
-    co_await sim.Delay(params_.poll);
-  }
-  const std::uint32_t len = ReadWord(trailer);
-  const std::uint32_t kind = ReadWord(trailer + 4);
+  const std::uint32_t len = co_await WaitTrailer();
+  const std::uint32_t kind = ReadWord(recv_slot + eager_cap() + 4);
   if (len > cap) co_return Out(OutOfRange("message larger than recv buffer"));
 
   if (kind == kKindEager) {
@@ -256,12 +262,9 @@ sim::Task<Result<std::uint32_t>> P2pChannel::RecvInto(mem::VirtAddr dst,
 
 sim::Task<Result<std::vector<std::uint8_t>>> P2pChannel::Recv() {
   using Out = Result<std::vector<std::uint8_t>>;
-  sim::Simulator& sim = ep_.machine().kernel().simulator();
-  const mem::VirtAddr trailer = recv_slot + eager_cap();
-  while (ReadWord(trailer + 8) != next_recv_seq) {
-    co_await sim.Delay(params_.poll);
-  }
-  const std::uint32_t len = ReadWord(trailer);
+  // The bounce buffer is sized from the trailer; RecvInto's own wait then
+  // finds the message already there.
+  const std::uint32_t len = co_await WaitTrailer();
   auto scratch = co_await EnsureScratch(&recv_bounce_, &recv_bounce_cap_,
                                         std::max<std::uint32_t>(len, 1));
   if (!scratch.ok()) co_return Out(scratch.status());

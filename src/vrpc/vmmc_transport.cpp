@@ -142,6 +142,8 @@ sim::Process VmmcServerTransport::Serve(RawHandler handler) {
       (void)co_await SendFramed(*ep_, staging_, staging_, slot.reply_proxy,
                                 commit_off, node_, seq, reply);
     }
+    // vmmc-lint: allow(delay-spin): polls every client's request slot, and
+    // a wait can watch only one word
     if (!worked) co_await sim.Delay(params.vrpc.poll);
   }
 }
@@ -205,9 +207,9 @@ sim::Task<Result<std::vector<std::uint8_t>>> VmmcClientTransport::RoundTrip(
   if (!sent.ok()) co_return Out(sent);
 
   // Spin on the reply slot's commit word.
-  for (;;) {
-    if (ReadWord(*ep_, reply_va_ + commit_off) == seq) break;
-    co_await sim.Delay(params.vrpc.poll);
+  const void* commit = ep_->memory().WordPtr(reply_va_ + commit_off);
+  while (ReadWord(*ep_, reply_va_ + commit_off) != seq) {
+    co_await sim.WaitChange(commit, params.vrpc.poll);
   }
   const std::uint32_t len = ReadWord(*ep_, reply_va_);
   if (len > commit_off - 8) co_return Out(InternalError("malformed reply frame"));

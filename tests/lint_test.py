@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Self-tests for tools/vmmc-lint: every rule R1–R5 must fire on its
+"""Self-tests for tools/vmmc-lint: every rule R1–R6 must fire on its
 known-bad fixture at exactly the marked (line, rule) positions, and stay
 silent on its known-good twin.
 
@@ -42,6 +42,8 @@ CASES = {
     "r4_good.cpp": ("hot", "R4"),
     "r5_bad.cpp": ("sim", "R5"),
     "r5_good.cpp": ("sim", "R5"),
+    "r6_bad.cpp": ("sim", "R6"),
+    "r6_good.cpp": ("sim", "R6"),
 }
 
 

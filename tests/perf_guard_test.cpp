@@ -5,6 +5,7 @@
 //  * a warmed Simulator schedules and dispatches events with ZERO heap
 //    allocations (node pool + InlineFn inline storage),
 //  * coroutine resumption (the dominant event kind) is allocation-free,
+//  * a WaitChange watcher's poll-lane rotations are allocation-free,
 //  * packet payloads are written once at the source and travel the fabric
 //    by reference — the delivered bytes live at the same address they were
 //    produced at — with copy-on-write kicking in exactly once when a fault
@@ -111,6 +112,34 @@ TEST(PerfGuardTest, WarmedResumeChainIsAllocationFree) {
   sim.RunUntil([&] { return done == 1; });
   EXPECT_EQ(g_new_calls - before, 0u)
       << "warmed coroutine resume path must not touch the heap";
+  ASSERT_EQ(done, 1);
+}
+
+sim::Process WatchWord(Simulator& sim, const std::uint32_t& word, Tick period,
+                       int& done) {
+  while (word == 0) co_await sim.WaitChange(&word, period);
+  done = 1;
+}
+
+TEST(PerfGuardTest, WarmedWaitChangeRotationsAreAllocationFree) {
+  Simulator sim;
+  constexpr int kPhases = 20000;
+  std::uint32_t word = 0;
+  int done = 0;
+  sim.Spawn(WatchWord(sim, word, 3, done));  // frame allocates here, once
+  // Warm: the first rotations create the lane and register the
+  // sim.watch_steps counter.
+  sim.RunUntilTime(30);
+  ASSERT_GT(sim.watch_steps(), 0u);
+
+  const std::uint64_t before = g_new_calls;
+  const std::uint64_t steps_before = sim.watch_steps();
+  sim.RunUntilTime(30 + 3 * kPhases);
+  EXPECT_EQ(g_new_calls - before, 0u)
+      << "warmed poll-lane rotations must not touch the heap";
+  EXPECT_EQ(sim.watch_steps() - steps_before, std::uint64_t{kPhases});
+  sim.At(sim.now() + 1, [&word] { word = 1; });
+  sim.Run();
   ASSERT_EQ(done, 1);
 }
 

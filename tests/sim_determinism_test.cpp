@@ -7,18 +7,26 @@
 // pushes — through the production Simulator and through a deliberately
 // naive reference scheduler (linear scan for the (time, seq) minimum),
 // and requires the firing sequences to match exactly.
+//
+// The second half holds WaitChange to its contract: a watched spin-wait
+// must produce the same (time, dispatch order) trace as the
+// `co_await Delay(period)` loop it replaces, and dispatch exactly that
+// loop's event count minus the rotations it reports in watch_steps().
 #include <gtest/gtest.h>
 
 #include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 #include "vmmc/sim/process.h"
 #include "vmmc/sim/rng.h"
 #include "vmmc/sim/simulator.h"
+#include "vmmc/sim/task.h"
+#include "vmmc/util/status.h"
 
 namespace vmmc::sim {
 namespace {
@@ -216,6 +224,259 @@ TEST(SimDeterminismTest, MatchesReferenceSchedulerSweep) {
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
     ExpectIdenticalFiringOrder(seed);
   }
+}
+
+// --- WaitChange vs the Delay spin loop it replaces ------------------------
+
+enum class SpinMode { kDelay, kWatch };
+
+// Written by the stop event; a spinner seeing it leaves its loop. Every
+// spin condition depends on the watched word alone (the WaitChange
+// contract), so stopping has to go through the word too.
+constexpr std::uint32_t kStopWord = 0xFFFF'FFFFu;
+
+// A simulator plus a few watched words. Every write and every spinner
+// exit is logged as (time, tag); the two modes must log identically.
+class SpinWorld {
+ public:
+  explicit SpinWorld(SpinMode mode) : mode_(mode) {}
+
+  // Spins until words[w] == want (or the stop word); logs the exit.
+  Process Spin(int w, std::uint32_t want, Tick period, int tag) {
+    co_await SpinUntil(w, want, period);
+    Log(tag);
+  }
+
+  // Schedules words[w] = v at absolute time t.
+  void WriteAt(Tick t, int w, std::uint32_t v, int tag) {
+    sim.At(t, [this, w, v, tag] {
+      words[w] = v;
+      Log(tag);
+    });
+  }
+
+  struct Result {
+    std::vector<std::pair<Tick, int>> log;
+    std::uint64_t events = 0;
+    std::uint64_t watch_steps = 0;
+  };
+  Result Finish() {
+    sim.Run();
+    EXPECT_TRUE(sim.empty());
+    return {std::move(log_), sim.events_processed(), sim.watch_steps()};
+  }
+
+  Simulator sim;
+  std::uint32_t words[4] = {};
+
+ protected:
+  Task<Status> SpinUntil(int w, std::uint32_t want, Tick period) {
+    while (words[w] != want && words[w] != kStopWord) {
+      if (mode_ == SpinMode::kDelay) {
+        co_await sim.Delay(period);
+      } else {
+        co_await sim.WaitChange(&words[w], period);
+      }
+    }
+    co_return OkStatus();
+  }
+  void Log(int tag) { log_.emplace_back(sim.now(), tag); }
+
+ private:
+  SpinMode mode_;
+  std::vector<std::pair<Tick, int>> log_;
+};
+
+// Runs `scenario` in both modes and checks the traces and event counts.
+template <typename Scenario>
+std::vector<std::pair<Tick, int>> ExpectSameAsDelayLoop(Scenario&& scenario) {
+  SpinWorld delay_world(SpinMode::kDelay);
+  scenario(delay_world);
+  SpinWorld::Result delay = delay_world.Finish();
+  SpinWorld watch_world(SpinMode::kWatch);
+  scenario(watch_world);
+  SpinWorld::Result watch = watch_world.Finish();
+  EXPECT_EQ(watch.log, delay.log) << "WaitChange diverged from the Delay loop";
+  EXPECT_EQ(delay.watch_steps, 0u);
+  EXPECT_EQ(watch.events + watch.watch_steps, delay.events);
+  return watch.log;
+}
+
+using Trace = std::vector<std::pair<Tick, int>>;
+
+TEST(WaitChangeTest, WriteOnAPhaseTickBeforeThePhantomWakesThatPhase) {
+  // The write is scheduled before the spinner suspends, so at t=10 it
+  // sorts before the poll phase the spinner filed at t=0: that phase
+  // already sees the new value.
+  const Trace log = ExpectSameAsDelayLoop([](SpinWorld& w) {
+    w.WriteAt(10, 0, 1, /*tag=*/1);
+    w.sim.Spawn(w.Spin(0, 1, 10, /*tag=*/2));
+  });
+  EXPECT_EQ(log, (Trace{{10, 1}, {10, 2}}));
+}
+
+TEST(WaitChangeTest, WriteOnAPhaseTickAfterThePhantomWaitsAPeriod) {
+  // Scheduled after the spinner suspended: the t=10 phase polls first,
+  // sees the old value, and the spinner only leaves at t=20.
+  const Trace log = ExpectSameAsDelayLoop([](SpinWorld& w) {
+    w.sim.Spawn(w.Spin(0, 1, 10, /*tag=*/2));
+    w.sim.Post([&w] { w.WriteAt(10, 0, 1, /*tag=*/1); });
+  });
+  EXPECT_EQ(log, (Trace{{10, 1}, {20, 2}}));
+}
+
+TEST(WaitChangeTest, WriteAndWriteBackBetweenPhasesDoNotWake) {
+  const Trace log = ExpectSameAsDelayLoop([](SpinWorld& w) {
+    w.sim.Spawn(w.Spin(0, 1, 10, /*tag=*/4));
+    w.WriteAt(13, 0, 1, /*tag=*/1);
+    w.WriteAt(17, 0, 0, /*tag=*/2);  // back before the t=20 phase
+    w.WriteAt(25, 0, 1, /*tag=*/3);
+  });
+  EXPECT_EQ(log, (Trace{{13, 1}, {17, 2}, {25, 3}, {30, 4}}));
+}
+
+TEST(WaitChangeTest, EventsOnePeriodBeforeAPhaseKeepTheirOrder) {
+  // Events scheduled at a phase instant, one period before the next
+  // phase: the ones dispatched before the phase rotates get smaller seqs
+  // than the next phase, the ones scheduled by later same-tick events get
+  // larger ones, exactly as with the Delay loop.
+  ExpectSameAsDelayLoop([](SpinWorld& w) {
+    w.sim.Spawn(w.Spin(0, 1, 5, /*tag=*/9));
+    w.sim.At(5, [&w] { w.WriteAt(10, 0, 1, /*tag=*/1); });
+    w.sim.At(5, [&w] {
+      w.sim.Post([&w] { w.WriteAt(10, 0, 1, /*tag=*/2); });
+    });
+  });
+}
+
+TEST(WaitChangeTest, SeveralWaitersShareOneLane) {
+  const Trace log = ExpectSameAsDelayLoop([](SpinWorld& w) {
+    w.sim.Spawn(w.Spin(0, 1, 4, /*tag=*/1));
+    w.sim.At(1, [&w] { w.sim.Spawn(w.Spin(0, 1, 4, /*tag=*/2)); });
+    w.sim.At(3, [&w] { w.sim.Spawn(w.Spin(0, 1, 4, /*tag=*/3)); });
+    w.sim.At(4, [&w] { w.sim.Spawn(w.Spin(0, 1, 4, /*tag=*/4)); });
+    w.WriteAt(9, 0, 1, /*tag=*/5);
+  });
+  // Spinner 2 polls at 9 after the write (filed earlier); at t=12 the
+  // lane holds spinners 1 and 4 in the order they re-filed at t=8.
+  EXPECT_EQ(log, (Trace{{9, 5}, {9, 2}, {11, 3}, {12, 1}, {12, 4}}));
+}
+
+TEST(WaitChangeTest, TwoPeriodsAtOnce) {
+  const Trace log = ExpectSameAsDelayLoop([](SpinWorld& w) {
+    w.sim.Spawn(w.Spin(0, 1, 3, /*tag=*/1));
+    w.sim.Spawn(w.Spin(0, 1, 5, /*tag=*/2));
+    w.sim.Spawn(w.Spin(1, 7, 5, /*tag=*/3));
+    w.WriteAt(14, 0, 1, /*tag=*/4);
+    w.WriteAt(15, 1, 7, /*tag=*/5);
+  });
+  // At t=15 the write (filed at set-up) comes first, then the 5-tick
+  // lane's phases (filed at t=10), then the 3-tick lane's (filed at 12).
+  EXPECT_EQ(log, (Trace{{14, 4}, {15, 5}, {15, 2}, {15, 3}, {15, 1}}));
+}
+
+// Randomized schedules: spinners with two periods on shared words, some
+// re-arming with a new target and writing a neighbour's word when they
+// exit, and writer chains whose delays favour exact phase multiples and
+// same-tick bursts. Every decision is a pure function of (seed, id), so
+// the two modes unfold identically exactly as long as they dispatch in
+// the same order.
+class RandomSpinWorld : public SpinWorld {
+ public:
+  RandomSpinWorld(SpinMode mode, std::uint64_t seed)
+      : SpinWorld(mode), seed_(seed) {}
+
+  void Build() {
+    Rng rng(seed_);
+    for (int i = 0; i < 6; ++i) {
+      const Tick start = static_cast<Tick>(rng.UniformU64(8));
+      const Tick period = kPeriods[rng.UniformU64(2)];
+      const int word = static_cast<int>(rng.UniformU64(4));
+      sim.At(start, [this, i, period, word] {
+        sim.Spawn(Spinner(i, word, period));
+      });
+    }
+    for (int i = 0; i < 4; ++i) ScheduleWrite(static_cast<Tick>(rng.UniformU64(6)));
+    sim.At(kStopAt, [this] {
+      stopped_ = true;
+      for (std::uint32_t& word : words) word = kStopWord;
+    });
+  }
+
+ private:
+  static constexpr Tick kPeriods[2] = {3, 5};
+  static constexpr Tick kStopAt = 300;
+  static constexpr int kMaxWrites = 400;
+
+  std::uint64_t Draw(std::uint64_t id, std::uint64_t salt) const {
+    Rng rng(seed_ * 0x9E3779B97F4A7C15ull + id * 31 + salt);
+    return rng.NextU64();
+  }
+
+  Process Spinner(int id, int word, Tick period) {
+    for (std::uint64_t round = 0; round < 12; ++round) {
+      const auto key = static_cast<std::uint64_t>(id) * 100 + round;
+      const auto want = static_cast<std::uint32_t>(Draw(key, 1) % 3);
+      co_await SpinUntil(word, want, period);
+      if (words[word] == kStopWord) break;
+      Log(1000 + id);
+      if (Draw(key, 2) % 2 == 0) {
+        words[(word + 1) % 4] = static_cast<std::uint32_t>(Draw(key, 3) % 3);
+      }
+    }
+  }
+
+  void ScheduleWrite(Tick delay) {
+    if (stopped_ || next_write_ >= kMaxWrites) return;
+    const int id = next_write_++;
+    sim.At(sim.now() + delay, [this, id] {
+      if (stopped_) return;
+      const auto uid = static_cast<std::uint64_t>(id);
+      words[Draw(uid, 4) % 4] = static_cast<std::uint32_t>(Draw(uid, 5) % 3);
+      Log(id);
+      static constexpr Tick kDelays[] = {0, 0, 1, 2, 3, 5, 6, 9, 10, 15};
+      // One child, occasionally two: every chain lives until kMaxWrites.
+      const std::uint64_t children = Draw(uid, 6) % 8 == 0 ? 2 : 1;
+      for (std::uint64_t c = 0; c < children; ++c) {
+        ScheduleWrite(kDelays[Draw(uid, 7 + c) % std::size(kDelays)]);
+      }
+    });
+  }
+
+  std::uint64_t seed_;
+  int next_write_ = 0;
+  bool stopped_ = false;
+};
+
+void ExpectRandomSpinsMatch(std::uint64_t seed) {
+  RandomSpinWorld delay_world(SpinMode::kDelay, seed);
+  delay_world.Build();
+  SpinWorld::Result delay = delay_world.Finish();
+  RandomSpinWorld watch_world(SpinMode::kWatch, seed);
+  watch_world.Build();
+  SpinWorld::Result watch = watch_world.Finish();
+  ASSERT_GT(delay.log.size(), 20u) << "seed " << seed << " generated no work";
+  EXPECT_EQ(watch.log, delay.log) << "seed " << seed;
+  EXPECT_EQ(watch.events + watch.watch_steps, delay.events) << "seed " << seed;
+  EXPECT_GT(watch.watch_steps, 0u) << "seed " << seed;
+}
+
+TEST(WaitChangeTest, MatchesDelayLoopOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) ExpectRandomSpinsMatch(seed);
+}
+
+TEST(WaitChangeTest, RunReturnsWhenOnlyUnchangedWatchersRemain) {
+  // A Delay loop here would spin forever; the watched run ends instead,
+  // and a word changed between runs wakes its watcher at its next phase.
+  SpinWorld w(SpinMode::kWatch);
+  w.sim.Spawn(w.Spin(0, 1, 10, /*tag=*/1));
+  w.sim.Run();
+  EXPECT_FALSE(w.sim.empty());
+  EXPECT_EQ(w.sim.now(), 0);
+  EXPECT_EQ(w.sim.next_event_time(), 10);
+  w.words[0] = 1;
+  SpinWorld::Result r = w.Finish();
+  EXPECT_EQ(r.log, (Trace{{10, 1}}));
 }
 
 }  // namespace

@@ -29,6 +29,15 @@ the determinism contract in DESIGN.md bans):
                             co_await/co_yield suspension point. The frame
                             holds the reference; if the coroutine outlives the
                             enclosing scope the capture dangles.
+  R6  delay-spin            A `while` or `for (;;)` loop whose body is, or
+                            ends with, `co_await ....Delay(...)` (optionally
+                            behind an `if`): a simulated spin-wait that
+                            dispatches one event per poll. Spin on the
+                            watched word with Simulator::WaitChange, which
+                            keeps the Delay loop's exact schedule without the
+                            events. Counted `for` loops (with an increment
+                            clause) pace work rather than spin, and are
+                            exempt.
 
 Allowlist: a justified suppression on the offending line or the line above:
 
@@ -64,6 +73,7 @@ RULES = {
     "R3": "nondet-source",
     "R4": "raw-buffer",
     "R5": "ref-capture-coawait",
+    "R6": "delay-spin",
 }
 SLUG_TO_RULE = {v: k for k, v in RULES.items()}
 
@@ -71,7 +81,8 @@ SLUG_TO_RULE = {v: k for k, v in RULES.items()}
 # scope (overridable with --scope for fixtures / self-tests).
 #
 #   all : everything handed to the linter                       (R1)
-#   sim : src/ + include/ — code whose behaviour is sim-visible (R2, R3, R5)
+#   sim : src/ + include/ — code whose behaviour is sim-visible (R2, R3,
+#         R5, R6)
 #   hot : the packet/event hot path under the PR 4 pooled-
 #         buffer contract                                       (R4)
 SIM_PREFIXES = ("src/", "include/")
@@ -448,6 +459,61 @@ def rule_r5(clean: str) -> list[tuple[int, str]]:
     return findings
 
 
+def _matching(clean: str, open_pos: int, open_ch: str, close_ch: str) -> int:
+    """Index of the bracket closing the one at open_pos, or -1."""
+    depth = 0
+    for i in range(open_pos, len(clean)):
+        if clean[i] == open_ch:
+            depth += 1
+        elif clean[i] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+# The poll wait a spin loop ends with: `co_await <expr>.Delay(...);`, bare
+# or behind an `if (...)`, anchored at the end of the loop body.
+_R6_TAIL_RE = re.compile(r"(?:\bif\s*\([^;{}]*\)\s*)?(co_await\s+[^;{}]*?"
+                         r"\bDelay\s*\([^;{}]*\))\s*;\s*$")
+
+
+def rule_r6(clean: str) -> list[tuple[int, str]]:
+    """Uncounted loops whose body is, or ends with, a co_await ...Delay."""
+    findings = []
+    for m in re.finditer(r"\b(while|for)\s*\(", clean):
+        head_close = _matching(clean, m.end() - 1, "(", ")")
+        if head_close < 0:
+            continue
+        clauses = clean[m.end():head_close].split(";")
+        if m.group(1) == "for" and (len(clauses) != 3 or clauses[2].strip()):
+            continue  # range-for or counted loop
+        i = head_close + 1
+        while i < len(clean) and clean[i].isspace():
+            i += 1
+        if i >= len(clean):
+            continue
+        if clean[i] == "{":
+            end = _matching(clean, i, "{", "}")
+            if end < 0:
+                continue
+            body_start, body = i + 1, clean[i + 1:end]
+        else:
+            end = clean.find(";", i)  # single-statement body
+            if end < 0:
+                continue
+            body_start, body = i, clean[i:end + 1]
+        tail = _R6_TAIL_RE.search(body)
+        if tail is None:
+            continue
+        findings.append((body_start + tail.start(1),
+                         "simulated spin-wait: this loop polls with "
+                         "co_await ...Delay(), one dispatched event per poll;"
+                         " wait on the watched word with "
+                         "Simulator::WaitChange (same schedule, no events)"))
+    return findings
+
+
 # ---------------------------------------------------------------------------
 # Optional libclang backend: exact tokenization + AST confirmation.
 # ---------------------------------------------------------------------------
@@ -502,7 +568,8 @@ def scope_of(rel_path: str) -> set[str]:
     return scopes
 
 
-RULE_SCOPE = {"R1": "all", "R2": "sim", "R3": "sim", "R4": "hot", "R5": "sim"}
+RULE_SCOPE = {"R1": "all", "R2": "sim", "R3": "sim", "R4": "hot", "R5": "sim",
+              "R6": "sim"}
 
 
 def lint_file(path: str, rel_path: str, unordered_names: set[str],
@@ -539,6 +606,8 @@ def lint_file(path: str, rel_path: str, unordered_names: set[str],
         hits += [("R4", pos, msg) for pos, msg in rule_r4(clean)]
     if "R5" in active and RULE_SCOPE["R5"] in scopes:
         hits += [("R5", pos, msg) for pos, msg in rule_r5(clean)]
+    if "R6" in active and RULE_SCOPE["R6"] in scopes:
+        hits += [("R6", pos, msg) for pos, msg in rule_r6(clean)]
 
     findings: list[Finding] = []
     for rule, pos, msg in hits:
