@@ -14,6 +14,7 @@
 #include "vmmc/vmmc/p2p.h"
 #include "vmmc/vmmc/runtime.h"
 #include "vmmc/coll/communicator.h"
+#include "vmmc/myrinet/crc8.h"
 #include "vmmc/myrinet/topology.h"
 #include "vmmc/sim/fault.h"
 #include "vmmc/sim/process.h"
@@ -117,6 +118,20 @@ void BM_Rng(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(rng.NextU64());
 }
 BENCHMARK(BM_Rng);
+
+// Link-hardware CRC-8 over one packet payload (Fabric::Inject stamps it,
+// the receiving NIC checks it): host bytes/sec of the slicing-by-8 kernel.
+void BM_Crc8(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  std::vector<std::uint8_t> payload(n);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.NextU64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vmmc::myrinet::Crc8(payload));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Crc8)->Arg(64)->Arg(512)->Arg(4096);
 
 // ---------------------------------------------------------------------------
 // Macro benchmarks: whole-stack workloads, reported as engine events/sec.

@@ -11,10 +11,13 @@
 
 namespace vmmc::myrinet {
 
-// Table-driven CRC-8 over `data`, initial value 0.
+// CRC-8 over `data`, initial value 0. Computed slicing-by-8: eight
+// independent 256-entry table lookups per 8 input bytes instead of one
+// chained lookup per byte; CRC is linear over GF(2), so the result equals
+// the bit-serial hardware CRC for every input.
 std::uint8_t Crc8(std::span<const std::uint8_t> data);
 
-// Incremental form for streaming use.
+// Incremental form for streaming use: Crc8Update(Crc8(a), b) == Crc8(a ++ b).
 std::uint8_t Crc8Update(std::uint8_t crc, std::span<const std::uint8_t> data);
 
 }  // namespace vmmc::myrinet

@@ -8,11 +8,15 @@
 //    and resumes the parent when the child finishes, at the child's
 //    finishing time. At most one coroutine may await a given Process.
 //  * Spawned (detached) processes self-destroy at completion; an exception
-//    escaping a detached process terminates the program.
+//    escaping a detached process terminates the program. The spawning
+//    Simulator owns the ones that never complete (server loops, pumps,
+//    armed timers) and destroys them in Simulator::Shutdown.
 //  * Destroying a Process object whose coroutine has started but not
 //    finished detaches it (the frame runs to completion and then frees
 //    itself); a never-started frame is destroyed in place. This avoids
 //    dangling wake-ups from awaitables already queued in the simulator.
+//    At simulator teardown (TearingDown()) no wake-up will ever fire, so
+//    the child is destroyed with the parent frame that awaits it.
 #pragma once
 
 #include <cassert>
@@ -22,12 +26,48 @@
 
 namespace vmmc::sim {
 
+namespace detail {
+
+// Node of the circular intrusive list through which a Simulator owns the
+// frames it spawned; the Simulator holds the sentinel.
+struct SpawnLink {
+  SpawnLink* prev = nullptr;
+  SpawnLink* next = nullptr;
+
+  void LinkAfter(SpawnLink& head) {
+    prev = &head;
+    next = head.next;
+    head.next->prev = this;
+    head.next = this;
+  }
+  void Unlink() {
+    if (next == nullptr) return;  // never spawned
+    prev->next = next;
+    next->prev = prev;
+    prev = next = nullptr;
+  }
+};
+
+inline thread_local bool tearing_down = false;
+
+}  // namespace detail
+
+// True while a Simulator destroys the frames it still owns
+// (Simulator::Shutdown). Those frames will never run again and the
+// components they point into may already be gone, so frame-local RAII
+// must not act on simulated state: a suspended child is destroyed with
+// its parent, and a SemaphoreGuard drops its permit instead of releasing
+// it.
+inline bool TearingDown() { return detail::tearing_down; }
+
 class [[nodiscard]] Process {
  public:
   struct promise_type;
   using Handle = std::coroutine_handle<promise_type>;
 
-  struct promise_type {
+  // The SpawnLink base lets the owning Simulator get from its list node
+  // back to the frame.
+  struct promise_type : detail::SpawnLink {
     bool started = false;
     bool finished = false;
     bool detached = false;
@@ -48,6 +88,7 @@ class [[nodiscard]] Process {
             p.joiner ? p.joiner : std::coroutine_handle<>(std::noop_coroutine());
         if (p.detached) {
           if (p.error) std::terminate();  // detached coroutine threw
+          p.Unlink();
           h.destroy();
         }
         return next;
@@ -119,10 +160,10 @@ class [[nodiscard]] Process {
     if (!h_) return;
     promise_type& p = h_.promise();
     if (p.finished) {
-      if (p.error) std::terminate();  // error was never observed
+      if (p.error && !TearingDown()) std::terminate();  // never observed
       h_.destroy();
-    } else if (!p.started) {
-      h_.destroy();  // never ran: no queued wake-ups can exist
+    } else if (!p.started || TearingDown()) {
+      h_.destroy();  // no queued wake-up exists or will ever fire
     } else {
       p.detached = true;  // runs to completion, then frees itself
     }

@@ -181,8 +181,18 @@ class Simulator {
   }
 
   // Starts a detached coroutine at the current time. The coroutine frame
-  // frees itself on completion.
+  // frees itself on completion; the simulator owns it until then, and
+  // Shutdown() destroys it if it never completes.
   void Spawn(Process p);
+
+  // Ends the simulation: destroys every spawned frame that has not
+  // completed, with the Process/Task children it awaits, then discards
+  // every queued event. The destructor does this too; call it earlier
+  // while the components those frames point into are still alive (a
+  // Cluster does, from its destructor), so frame-local destructors such
+  // as an Endpoint's still find their NIC. Frame-local RAII sees
+  // TearingDown() == true throughout. The simulator is empty afterwards.
+  void Shutdown();
 
   // Runs one event. Returns false if the queue is empty.
   bool Step();
@@ -437,6 +447,10 @@ class Simulator {
   std::uint64_t processed_ = 0;
   ParallelEngine* engine_ = nullptr;  // owning engine when sharded
   int shard_id_ = -1;
+  // Spawned frames not yet complete: circular list through their
+  // promises, this node the sentinel. Kept behind the dispatch-path
+  // members: Spawn and completion touch it, dispatch does not.
+  detail::SpawnLink spawned_;
   obs::Registry metrics_;
   obs::Tracer tracer_{&now_};
   FaultInjector faults_{&now_, &metrics_};

@@ -126,7 +126,8 @@ class [[nodiscard]] SemaphoreGuard {
 
   void Unlock() {
     if (sem_) {
-      sem_->Release();
+      // At teardown the semaphore's owner may already be destroyed.
+      if (!TearingDown()) sem_->Release();
       sem_ = nullptr;
     }
   }

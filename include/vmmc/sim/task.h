@@ -10,6 +10,8 @@
 #include <optional>
 #include <utility>
 
+#include "vmmc/sim/process.h"
+
 namespace vmmc::sim {
 
 template <typename T>
@@ -95,9 +97,11 @@ class [[nodiscard]] Task {
     promise_type& p = h_.promise();
     // Tasks are always consumed by an awaiter in this codebase; a started
     // but unfinished Task being dropped would leave dangling wake-ups, so
-    // that is a programming error.
-    assert((!p.started || p.finished) && "dropping a running Task");
-    if (p.error) std::terminate();  // error never observed
+    // that is a programming error — except at simulator teardown, where
+    // the awaiting frame is destroyed and no wake-up will ever fire.
+    assert((!p.started || p.finished || TearingDown()) &&
+           "dropping a running Task");
+    if (p.error && !TearingDown()) std::terminate();  // error never observed
     h_.destroy();
     h_ = nullptr;
   }

@@ -72,6 +72,11 @@ class Cluster {
   // cluster and must not have been run yet.
   Cluster(sim::ParallelEngine& engine, const Params& params,
           ClusterOptions options);
+  // Ends the run on every simulator the cluster executes on
+  // (Simulator::Shutdown) while the nodes are still alive, so the
+  // forever-running LCP, pump and daemon frames — and any workload frame
+  // still suspended — are freed instead of leaked.
+  ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 

@@ -158,6 +158,13 @@ std::uint64_t ParallelEngine::RunImpl(const std::function<bool()>* pred) {
       if (ch != nullptr) ch->Commit(next_iter_ - 1);
     }
   }
+  // The run resumes at the iteration the last one returned from, whose
+  // drain barrier every shard already passed. Rewind it, or a worker
+  // would execute that iteration's window before worker 0 has evaluated
+  // the predicate and re-published its shards' next-event times.
+  for (auto& shard : shards_) {
+    shard->drain_done.store(next_iter_ - 1, std::memory_order_relaxed);
+  }
 
   const int workers = WorkerCount();
   std::vector<std::thread> threads;

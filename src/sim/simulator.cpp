@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <utility>
 
 #include "vmmc/util/log.h"
 
@@ -10,7 +11,10 @@ namespace vmmc::sim {
 // The most recently constructed simulator provides the log timestamp
 // context; nested/concurrent simulators in one process (tests) simply
 // hand it back when they go away.
-Simulator::Simulator() { SetLogSimClock(&now_); }
+Simulator::Simulator() {
+  spawned_.prev = spawned_.next = &spawned_;
+  SetLogSimClock(&now_);
+}
 
 namespace {
 
@@ -34,19 +38,46 @@ constexpr std::size_t kBlockCacheMax = 64;  // ~5 MB of retained blocks
 
 Simulator::~Simulator() {
   if (GetLogSimClock() == &now_) SetLogSimClock(nullptr);
-  // Destroy the captures of still-queued callbacks; recycled nodes hold
-  // none. Node memory is raw pool storage (nodes are placement-new'd and
-  // never individually destroyed), recycled with the blocks below.
-  for (const HeapSlot& s : heap_) s.node->fn.Reset();
-  for (EventNode* n = fifo_head_; n != nullptr; n = n->next) n->fn.Reset();
-  for (EventNode* n = tail_head_; n != nullptr; n = n->next) n->fn.Reset();
-  // Lane nodes (kWatch) carry no captures.
+  Shutdown();
+  // Node memory is raw pool storage (nodes are placement-new'd and never
+  // individually destroyed), recycled with the blocks.
   std::lock_guard<std::mutex> lock(BlockCacheMutex());
   auto& cache = BlockCache();
   for (auto& block : pool_blocks_) {
     if (cache.size() >= kBlockCacheMax) break;
     cache.push_back(std::move(block));
   }
+}
+
+void Simulator::Shutdown() {
+  const bool outer_teardown = std::exchange(detail::tearing_down, true);
+  // Newest first. Frames go before the queue so that anything their
+  // destructors schedule is discarded with it.
+  while (spawned_.next != &spawned_) {
+    auto& promise = static_cast<Process::promise_type&>(*spawned_.next);
+    promise.Unlink();
+    Process::Handle::from_promise(promise).destroy();
+  }
+  // Only callback nodes hold captures; every node goes back to the pool.
+  auto drop = [this](EventNode* n) {
+    n->fn.Reset();
+    FreeNode(n);
+  };
+  auto drop_chain = [&drop](EventNode*& head, EventNode*& tail) {
+    while (head != nullptr) {
+      EventNode* next = head->next;
+      drop(head);
+      head = next;
+    }
+    tail = nullptr;
+  };
+  for (const HeapSlot& s : heap_) drop(s.node);
+  heap_.clear();
+  drop_chain(fifo_head_, fifo_tail_);
+  drop_chain(tail_head_, tail_tail_);
+  for (PollLane& lane : lanes_) drop_chain(lane.head, lane.tail);
+  watching_ = 0;
+  detail::tearing_down = outer_teardown;
 }
 
 void Simulator::BindShard(ParallelEngine* engine, int shard_id) {
@@ -80,6 +111,7 @@ void Simulator::Spawn(Process p) {
   // queue dispatches it, so it cannot have finished before being scheduled.
   assert(!p.finished());
   Process::Handle h = p.Detach();
+  h.promise().LinkAfter(spawned_);
   EventNode* n = AllocNode(now_);
   n->kind = EventNode::Kind::kSpawn;
   n->coro = h.address();

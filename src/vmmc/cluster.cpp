@@ -44,6 +44,14 @@ Cluster::Cluster(sim::Simulator& sim, const Params& params,
   Assemble();
 }
 
+Cluster::~Cluster() {
+  if (engine_ == nullptr) {
+    sim_.Shutdown();
+    return;
+  }
+  for (int i = 0; i < engine_->num_shards(); ++i) engine_->shard(i).Shutdown();
+}
+
 Cluster::Cluster(sim::ParallelEngine& engine, const Params& params,
                  ClusterOptions options)
     // Shard 0 is the control shard: boot-sequence plumbing, OpenEndpoint

@@ -2,12 +2,15 @@
 // switch routing, multi-hop topologies and error injection.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "vmmc/myrinet/crc8.h"
 #include "vmmc/myrinet/fabric.h"
 #include "vmmc/params.h"
+#include "vmmc/sim/rng.h"
 #include "vmmc/sim/simulator.h"
 
 namespace vmmc::myrinet {
@@ -27,10 +30,14 @@ TEST(Crc8Test, KnownVectors) {
 TEST(Crc8Test, IncrementalMatchesOneShot) {
   std::vector<std::uint8_t> data(257);
   std::iota(data.begin(), data.end(), 0);
-  std::uint8_t inc = 0;
-  inc = Crc8Update(inc, std::span(data).subspan(0, 100));
-  inc = Crc8Update(inc, std::span(data).subspan(100));
-  EXPECT_EQ(inc, Crc8(data));
+  const std::uint8_t whole = Crc8(data);
+  // Every cut point, so each split lands at every offset within a
+  // slicing-by-8 block.
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    const std::uint8_t head = Crc8Update(0, std::span(data).subspan(0, cut));
+    EXPECT_EQ(Crc8Update(head, std::span(data).subspan(cut)), whole)
+        << "cut " << cut;
+  }
 }
 
 TEST(Crc8Test, DetectsByteSwapsAndTruncation) {
@@ -55,6 +62,84 @@ TEST(Crc8Test, DetectsSingleBitFlips) {
       auto bad = data;
       bad[static_cast<size_t>(byte)] ^= static_cast<std::uint8_t>(1u << bit);
       EXPECT_NE(Crc8(bad), good);
+    }
+  }
+}
+
+// The byte-at-a-time table walk Crc8Update used before slicing-by-8: the
+// oracle the sliced kernel must match on every input.
+std::uint8_t ReferenceCrc8(std::uint8_t crc, std::span<const std::uint8_t> data) {
+  static const auto table = [] {
+    std::array<std::uint8_t, 256> t{};
+    for (int i = 0; i < 256; ++i) {
+      auto c = static_cast<std::uint8_t>(i);
+      for (int bit = 0; bit < 8; ++bit) {
+        c = static_cast<std::uint8_t>((c & 0x80) ? (c << 1) ^ 0x07 : c << 1);
+      }
+      t[static_cast<std::size_t>(i)] = c;
+    }
+    return t;
+  }();
+  for (std::uint8_t byte : data) crc = table[crc ^ byte];
+  return crc;
+}
+
+std::vector<std::uint8_t> RandomBytes(sim::Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng.NextU64());
+  return v;
+}
+
+TEST(Crc8Test, SlicedKernelMatchesByteLoopOnEveryShortLength) {
+  sim::Rng rng(13);
+  const auto data = RandomBytes(rng, 64);
+  for (std::size_t len = 0; len <= 64; ++len) {
+    const auto span = std::span(data).subspan(0, len);
+    for (int init : {0x00, 0x5A, 0xFF}) {
+      const auto crc = static_cast<std::uint8_t>(init);
+      ASSERT_EQ(Crc8Update(crc, span), ReferenceCrc8(crc, span))
+          << "len " << len << " init " << init;
+    }
+  }
+}
+
+TEST(Crc8Test, SlicedKernelMatchesByteLoopOnRandomInputs) {
+  sim::Rng rng(2024);
+  const auto data = RandomBytes(rng, 9 * 1024 + 8);
+  for (int i = 0; i < 10000; ++i) {
+    // Every start alignment 0..7 (relative to the buffer start) and a
+    // random initial register, with lengths up to 9 KB.
+    const auto offset = static_cast<std::size_t>(i % 8);
+    const auto len = static_cast<std::size_t>(rng.UniformU64(9 * 1024 + 1));
+    const auto crc = static_cast<std::uint8_t>(rng.NextU64());
+    const auto span = std::span(data).subspan(offset, len);
+    ASSERT_EQ(Crc8Update(crc, span), ReferenceCrc8(crc, span))
+        << "offset " << offset << " len " << len << " init " << int{crc};
+  }
+}
+
+// Two single-bit flips in one packet go unnoticed exactly when their
+// distance in wire bit order is a multiple of 127: the error polynomial is
+// x^i (x^d + 1), and x^d = 1 mod x^8+x^2+x+1 iff 127 divides d, 127 being
+// the order of x modulo the generator. (DESIGN.md, fault model.)
+TEST(Crc8Test, TwoBitFlipsPassExactlyAtMultiplesOf127) {
+  sim::Rng rng(99);
+  Packet good;
+  good.payload = RandomBytes(rng, 1024);
+  good.StampCrc();
+  const std::size_t bits = good.payload.size() * 8;
+  // Bit i in wire order: byte i/8, most significant bit first (the order
+  // the CRC shift register consumes them in).
+  auto flip = [](Packet& p, std::size_t i) {
+    p.payload.MutableData()[i / 8] ^= static_cast<std::uint8_t>(0x80u >> (i % 8));
+  };
+  for (std::size_t first : {std::size_t{0}, std::size_t{3}, std::size_t{1001},
+                            std::size_t{4096}, bits - 301}) {
+    for (std::size_t d = 1; d <= 300; ++d) {
+      Packet bad = good;
+      flip(bad, first);
+      flip(bad, first + d);
+      EXPECT_EQ(bad.CrcOk(), d % 127 == 0) << "first " << first << " d " << d;
     }
   }
 }

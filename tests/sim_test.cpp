@@ -9,6 +9,7 @@
 #include "vmmc/sim/rng.h"
 #include "vmmc/sim/simulator.h"
 #include "vmmc/sim/sync.h"
+#include "vmmc/sim/task.h"
 #include "vmmc/sim/time.h"
 
 namespace vmmc::sim {
@@ -159,6 +160,73 @@ TEST(ProcessTest, ManyConcurrentProcessesInterleaveDeterministically) {
   sim.Run();
   EXPECT_EQ(count, 50 * 20);
   EXPECT_EQ(sim.now(), 200);
+}
+
+// Counts destructions of the frames it lives in.
+struct FrameProbe {
+  int* destroyed;
+  ~FrameProbe() { ++*destroyed; }
+};
+
+Process SleepForever(Simulator& sim, int& destroyed) {
+  FrameProbe probe{&destroyed};
+  for (;;) co_await sim.Delay(10);
+}
+
+Task<int> HoldPermit(Simulator& sim, Semaphore& sem, int& destroyed) {
+  FrameProbe probe{&destroyed};
+  auto permit = co_await ScopedAcquire(sem);
+  co_await sim.Delay(1'000'000);
+  co_return 1;
+}
+
+Process AwaitChild(Simulator& sim, int& destroyed) {
+  FrameProbe probe{&destroyed};
+  co_await SleepForever(sim, destroyed);  // suspended child Process
+}
+
+Process AwaitTask(Simulator& sim, Semaphore& sem, int& destroyed) {
+  FrameProbe probe{&destroyed};
+  (void)co_await HoldPermit(sim, sem, destroyed);  // suspended child Task
+}
+
+TEST(ProcessTest, ShutdownDestroysSuspendedFramesAndTheirChildren) {
+  int destroyed = 0;  // outlives `sim`, whose destructor bumps it again
+  int finished_destroyed = 0;
+  Simulator sim;
+  Semaphore sem(sim, 1);
+  sim.Spawn(SleepForever(sim, destroyed));
+  sim.Spawn(AwaitChild(sim, destroyed));
+  sim.Spawn(AwaitTask(sim, sem, destroyed));
+  sim.Spawn([](Simulator& s, int& d) -> Process {
+    FrameProbe probe{&d};
+    co_await s.Delay(5);
+  }(sim, finished_destroyed));
+  sim.RunUntilTime(100);
+  ASSERT_EQ(finished_destroyed, 1) << "a completed frame frees itself";
+  ASSERT_EQ(destroyed, 0);
+  ASSERT_EQ(sem.available(), 0);
+
+  sim.Shutdown();
+  // SleepForever; AwaitChild and its child; AwaitTask and its Task.
+  EXPECT_EQ(destroyed, 5);
+  EXPECT_EQ(finished_destroyed, 1) << "no double destroy";
+  EXPECT_EQ(sem.available(), 0) << "the permit is dropped, not released";
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.Run(), 0u);
+  EXPECT_FALSE(TearingDown());
+
+  // The simulator stays usable after Shutdown, and its destructor shuts
+  // down again.
+  {
+    Simulator again;
+    again.Spawn(SleepForever(again, destroyed));
+    again.RunUntilTime(200);
+  }
+  EXPECT_EQ(destroyed, 6);
+  sim.Spawn(SleepForever(sim, destroyed));
+  sim.RunUntilTime(200);
+  EXPECT_EQ(destroyed, 6);
 }
 
 Process WaitEvent(Simulator& sim, Event& ev, std::vector<Tick>& wakes) {
