@@ -311,9 +311,12 @@ BENCHMARK(BM_MacroRendezvousStream)->Unit(benchmark::kMillisecond);
 // The allreduce macro on the partitioned cluster (vmmc/runtime.h), worker
 // count as the benchmark argument. /1 runs the serial substrate — the
 // reference the threaded rows are measured against; any /N row computes
-// the identical allreduce (worker-count-invariant schedule). Wall-clock
-// scaling requires real cores: on a single-CPU host the threaded rows
-// only measure synchronization overhead.
+// the identical allreduce (worker-count-invariant schedule). The work
+// runs on the engine's worker threads, so the rate is taken over wall
+// time (UseRealTime): the calling thread's CPU time would measure only
+// its own share of the cores. Wall-clock scaling requires real cores: on
+// a single-CPU host the threaded rows only measure synchronization
+// overhead.
 void BM_MacroAllreduce64Par(benchmark::State& state) {
   using vmmc::coll::CommOptions;
   using vmmc::coll::Communicator;
@@ -378,11 +381,13 @@ BENCHMARK(BM_MacroAllreduce64Par)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The fault-sweep macro on the partitioned two-node cluster: go-back-N
 // retransmission under per-shard deterministic packet loss, crossing the
 // NIC-switch-NIC shard boundaries (including cross-shard drop notices).
+// Wall-time rate, as for BM_MacroAllreduce64Par.
 void BM_MacroFaultSweepPar(benchmark::State& state) {
   using namespace vmmc;
   using namespace vmmc::bench;
@@ -422,6 +427,7 @@ void BM_MacroFaultSweepPar(benchmark::State& state) {
 BENCHMARK(BM_MacroFaultSweepPar)
     ->Arg(1)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

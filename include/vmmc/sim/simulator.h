@@ -403,8 +403,15 @@ class Simulator {
   EventNode* HeapPopTop();
   // Pops the (time, seq)-minimum event if its time is <= limit, rotating
   // due watchers whose word is unchanged on the way; nullptr if nothing
-  // dispatchable is due.
+  // dispatchable is due. `limit` is never below now().
   EventNode* PopNext(Tick limit);
+  // PopNext's two halves, given `c`, the tail/heap minimum (or nullptr).
+  // PopQueued pops from the FIFO, tail and heap tiers alone. PopWatcher,
+  // called only while watchers exist, first rotates every due unchanged
+  // watcher that precedes the next queued event, then pops the first one
+  // whose word changed, or else defers to PopQueued.
+  EventNode* PopQueued(EventNode* c, bool from_tail, Tick limit);
+  EventNode* PopWatcher(EventNode* c, bool from_tail, Tick limit);
   // Step() bounded by `limit` (see PopNext).
   bool StepUntil(Tick limit);
   void Dispatch(EventNode* n);
@@ -426,25 +433,28 @@ class Simulator {
   }
   bool AnyWatchedWordChanged() const;
 
+  // The members every dispatch reads or writes come first, in 112 bytes
+  // (two cache lines); the poll lanes and the pool's block list, touched
+  // only by watchers and refills, follow them.
   std::vector<HeapSlot> heap_;        // out-of-order future events, 4-ary min-heap
   EventNode* fifo_head_ = nullptr;    // events at now(), FIFO order
   EventNode* fifo_tail_ = nullptr;
   EventNode* tail_head_ = nullptr;    // future events, sorted by (time, seq)
   EventNode* tail_tail_ = nullptr;
-  std::vector<PollLane> lanes_;       // one per WaitChange period
   std::uint64_t watching_ = 0;        // kWatch nodes across all lanes
-  obs::Counter* watch_steps_ = nullptr;  // "sim.watch_steps"
   EventNode* free_nodes_ = nullptr;   // recycled nodes
   EventNode* wilderness_ = nullptr;   // unconstructed tail of newest block
   EventNode* wilderness_end_ = nullptr;
+  Tick now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t processed_ = 0;
+  std::vector<PollLane> lanes_;       // one per WaitChange period
+  obs::Counter* watch_steps_ = nullptr;  // "sim.watch_steps"
   // Fixed-size blocks: 512 nodes keeps a block under glibc's 128 KB mmap
   // threshold, so freed blocks are recycled by the allocator instead of
   // being returned to (and re-zeroed by) the kernel.
   static constexpr std::size_t kPoolBlockNodes = 512;
   std::vector<std::unique_ptr<unsigned char[]>> pool_blocks_;
-  Tick now_ = 0;
-  std::uint64_t seq_ = 0;
-  std::uint64_t processed_ = 0;
   ParallelEngine* engine_ = nullptr;  // owning engine when sharded
   int shard_id_ = -1;
   // Spawned frames not yet complete: circular list through their

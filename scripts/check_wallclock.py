@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Wall-clock regression gate for the simulation engine.
 
-Runs sim_microbench (google-benchmark JSON output), extracts events/sec
-(items_per_second) for the gated benchmarks, writes the fresh numbers to
+Runs sim_microbench (google-benchmark JSON output) with
+--benchmark_repetitions=3, extracts the median events/sec
+(items_per_second) of the gated benchmarks, writes the fresh numbers to
 BENCH_sim.json in the working directory, and fails if any gated benchmark
 regressed more than the allowed fraction against the recorded baseline.
 
@@ -12,9 +13,19 @@ Usage:
 With --update the recorded baseline itself is rewritten (run after an
 intentional engine change, on the machine that records baselines).
 
+Each rate is taken over the time the work actually runs in. The
+single-threaded rows run wholly on the calling thread and keep
+google-benchmark's default, that thread's CPU time (its wall time when it
+is not preempted). The *Par rows are registered with UseRealTime and
+measured in wall time: their work runs on the engine's worker threads,
+and the caller's CPU time would only measure the caller's share of the
+cores. google-benchmark names those rows "<row>/real_time"; the suffix
+is dropped, so baseline keys are plain row names.
+
 On hosts with at least 8 cores the gate additionally requires the
-8-worker partitioned allreduce macro to run >= 2x faster than the same
-macro on one worker; on smaller hosts the ratio is reported only.
+8-worker partitioned allreduce macro to run >= 2x faster in wall time
+than the same macro on one worker; on smaller hosts the ratio is
+reported only.
 
 The baseline stores events/sec per benchmark. Wall-clock numbers move with
 the host, so the gate is deliberately loose (25%): it exists to catch "the
@@ -58,11 +69,18 @@ MIN_SPEEDUP = 2.0
 MIN_CORES = 8
 
 
+# Repetitions per row; the gate compares their median.
+REPETITIONS = 3
+REAL_TIME_SUFFIX = "/real_time"
+
+
 def run_bench(bench_path):
-    bench_filter = "^(" + "|".join(GATED) + ")$"
+    bench_filter = "^(" + "|".join(GATED) + f")({REAL_TIME_SUFFIX})?$"
     cmd = [
         bench_path,
         f"--benchmark_filter={bench_filter}",
+        f"--benchmark_repetitions={REPETITIONS}",
+        "--benchmark_report_aggregates_only=true",
         "--benchmark_format=json",
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=900)
@@ -71,7 +89,11 @@ def run_bench(bench_path):
     data = json.loads(proc.stdout)
     results = {}
     for b in data.get("benchmarks", []):
-        name = b.get("name", "")
+        if b.get("aggregate_name") != "median":
+            continue
+        name = b.get("run_name", "")
+        if name.endswith(REAL_TIME_SUFFIX):
+            name = name[: -len(REAL_TIME_SUFFIX)]
         if name in GATED and "items_per_second" in b:
             results[name] = b["items_per_second"]
     missing = [n for n in GATED if n not in results]

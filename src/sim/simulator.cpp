@@ -142,72 +142,87 @@ Simulator::EventNode* Simulator::HeapPopTop() {
   return top;
 }
 
+// Global (time, seq) minimum across the four tiers. Tail, heap and the
+// poll lanes hold the strictly-future pushes; on equal times their seqs
+// decide. FIFO entries were allocated at now() itself, i.e. after any
+// other event that has since reached time == now(), so the FIFO only wins
+// when no other tier is due at the current time — this keeps the order
+// bit-identical to one (time, seq) heap. Watchers are the rare case, so
+// the lane merge sits in PopWatcher: a run without any pays one test.
 Simulator::EventNode* Simulator::PopNext(Tick limit) {
-  // Global (time, seq) minimum across the four tiers. Tail, heap and the
-  // poll lanes hold the strictly-future pushes; on equal times their seqs
-  // decide. FIFO entries were allocated at now() itself, i.e. after any
-  // other event that has since reached time == now(), so the FIFO only
-  // wins when no other tier is due at the current time — this keeps the
-  // order bit-identical to one (time, seq) heap.
+  EventNode* c = tail_head_;
+  bool from_tail = c != nullptr;
+  if (!heap_.empty()) {
+    const HeapSlot& top = heap_.front();
+    if (c == nullptr || top.time < c->time ||
+        (top.time == c->time && top.seq < c->seq)) {
+      c = top.node;
+      from_tail = false;
+    }
+  }
+  if (watching_ != 0) return PopWatcher(c, from_tail, limit);
+  return PopQueued(c, from_tail, limit);
+}
+
+Simulator::EventNode* Simulator::PopQueued(EventNode* c, bool from_tail,
+                                           Tick limit) {
+  if (fifo_head_ != nullptr && (c == nullptr || c->time != now_)) {
+    EventNode* n = fifo_head_;
+    fifo_head_ = n->next;
+    if (fifo_head_ == nullptr) fifo_tail_ = nullptr;
+    return n;
+  }
+  if (c == nullptr || c->time > limit) return nullptr;
+  if (from_tail) {
+    tail_head_ = c->next;
+    if (tail_head_ == nullptr) tail_tail_ = nullptr;
+    return c;
+  }
+  return HeapPopTop();
+}
+
+Simulator::EventNode* Simulator::PopWatcher(EventNode* c, bool from_tail,
+                                            Tick limit) {
+  // Rotation touches only the lanes, so `c` stays the tail/heap minimum
+  // for the whole loop.
   bool wake_pending = false;
   for (;;) {
-    EventNode* c = tail_head_;
-    bool from_tail = c != nullptr;
-    if (!heap_.empty()) {
-      const HeapSlot& top = heap_.front();
-      if (c == nullptr || top.time < c->time ||
-          (top.time == c->time && top.seq < c->seq)) {
-        c = top.node;
-        from_tail = false;
-      }
-    }
     PollLane* lane = nullptr;
-    if (watching_ != 0) {
-      for (PollLane& l : lanes_) {
-        EventNode* h = l.head;
-        if (h != nullptr && (c == nullptr || h->time < c->time ||
-                             (h->time == c->time && h->seq < c->seq))) {
-          c = h;
-          lane = &l;
-        }
+    const EventNode* first = c;
+    for (PollLane& l : lanes_) {
+      const EventNode* h = l.head;
+      if (h != nullptr && (first == nullptr || h->time < first->time ||
+                           (h->time == first->time && h->seq < first->seq))) {
+        first = h;
+        lane = &l;
       }
     }
-    if (fifo_head_ != nullptr && (c == nullptr || c->time != now_)) {
-      EventNode* n = fifo_head_;
-      fifo_head_ = n->next;
-      if (fifo_head_ == nullptr) fifo_tail_ = nullptr;
-      return n;
+    if (lane == nullptr || (fifo_head_ != nullptr && first->time != now_) ||
+        first->time > limit) {
+      return PopQueued(c, from_tail, limit);
     }
-    if (c == nullptr || c->time > limit) return nullptr;
-    if (lane == nullptr) {
-      if (from_tail) {
-        tail_head_ = c->next;
-        if (tail_head_ == nullptr) tail_tail_ = nullptr;
-        return c;
-      }
-      return HeapPopTop();
-    }
-    const bool changed = WordChanged(c);
+    EventNode* w = lane->head;
+    const bool changed = WordChanged(w);
     // Unbounded runs only: when nothing but watchers is queued, no code
     // can run to change a word before some watcher wakes, so if none has
     // a changed word the run is over (a Delay loop would spin forever).
     if (!changed && limit == kNoEventTime && !wake_pending &&
-        fifo_head_ == nullptr && tail_head_ == nullptr && heap_.empty()) {
+        fifo_head_ == nullptr && c == nullptr) {
       if (!AnyWatchedWordChanged()) return nullptr;
       wake_pending = true;
     }
-    lane->head = c->next;
+    lane->head = w->next;
     if (lane->head == nullptr) lane->tail = nullptr;
     if (changed) {
       --watching_;
-      return c;
+      return w;
     }
     // The phase the Delay loop would have dispatched, minus the dispatch:
     // the next phase gets its key exactly where the loop would allocate
     // it.
-    c->time += lane->period;
-    c->seq = seq_++;
-    LaneAppend(*lane, c);
+    w->time += lane->period;
+    w->seq = seq_++;
+    LaneAppend(*lane, w);
     watch_steps_->Inc();
   }
 }
