@@ -168,9 +168,16 @@ class SpscChannel {
     ++tail_;
   }
 
-  // Producer: publish everything pushed through iteration `iter`.
+  // Producer: true while pushes since the last Commit() are unpublished.
+  bool has_uncommitted() const { return tail_ != tail_committed_; }
+
+  // Producer: publish everything pushed through iteration `iter`. The
+  // engine commits only channels that were pushed to, so the slot of an
+  // idle iteration keeps an older commit point, which the consumer has
+  // already drained past; Drain reads such a slot as nothing new.
   void Commit(std::uint64_t iter) {
     committed_[iter & 3].store(tail_, std::memory_order_release);
+    tail_committed_ = tail_;
   }
 
   // Consumer: drain every event committed at iteration `iter`, FIFO.
@@ -180,7 +187,7 @@ class SpscChannel {
   std::size_t Drain(std::uint64_t iter, Sink&& sink) {
     const std::uint64_t limit = committed_[iter & 3].load(std::memory_order_acquire);
     std::size_t n = 0;
-    while (head_ != limit) {
+    while (head_ < limit) {
       Slot& s = ring_[static_cast<std::size_t>(head_) & (ring_.size() - 1)];
       sink(s.time, std::move(s.fn));
       s.fn.Reset();
@@ -203,6 +210,8 @@ class SpscChannel {
   std::vector<Slot> ring_;
   // Producer-private tail; published through the commit ring only.
   std::uint64_t tail_ = 0;
+  // Producer-private: the tail the last Commit() published.
+  std::uint64_t tail_committed_ = 0;
   // Consumer-private head; published for the producer's capacity check.
   std::uint64_t head_ = 0;
   alignas(64) std::atomic<std::uint64_t> committed_[4];

@@ -112,7 +112,11 @@ class ParallelEngine {
   void PostRemote(int from, int to, Tick t, F&& fn) {
     assert(from >= 0 && from < num_shards() && to >= 0 && to < num_shards());
     assert(from != to && "same-shard events go through Simulator::At");
-    ChannelTo(from, to).Push(t, std::forward<F>(fn));
+    SpscChannel& ch = ChannelTo(from, to);
+    if (!ch.has_uncommitted()) {
+      shards_[static_cast<std::size_t>(from)]->dirty_out.push_back(to);
+    }
+    ch.Push(t, std::forward<F>(fn));
   }
 
   // --- execution (drives worker threads; not reentrant) ---
@@ -151,6 +155,15 @@ class ParallelEngine {
     alignas(64) std::atomic<std::uint64_t> exec_done{0};
     alignas(64) std::atomic<std::uint64_t> drain_done{0};
     alignas(64) std::atomic<Tick> next_time{0};
+    // Consumer side: bit `from` of inbox[k & 1] is set when shard `from`
+    // committed events for this shard at iteration k, so a drain visits
+    // only those channels. Two banks: senders flag iteration k+1 while
+    // this shard is still draining iteration k.
+    alignas(64) std::unique_ptr<std::atomic<std::uint64_t>[]> inbox[2];
+    // Producer side, touched only by the thread running this shard: the
+    // shards it pushed to since its last commit, so a window commits only
+    // the channels it used instead of all num_shards() of them.
+    alignas(64) std::vector<int> dirty_out;
   };
 
   static constexpr Tick kNoEvent = std::numeric_limits<Tick>::max();
@@ -166,6 +179,12 @@ class ParallelEngine {
   void WorkerLoop(int worker, int num_workers,
                   const std::function<bool()>* pred);
   void DrainShard(int shard, std::uint64_t iter);
+  // Commits `shard`'s used outgoing channels at `iter` and flags them in
+  // the receivers' inboxes.
+  void CommitShard(int shard, std::uint64_t iter);
+  std::size_t InboxWords() const {
+    return (static_cast<std::size_t>(num_shards()) + 63) / 64;
+  }
   std::uint64_t RunImpl(const std::function<bool()>* pred);
 
   Tick lookahead_;

@@ -1,6 +1,7 @@
 #include "vmmc/sim/parallel.h"
 
 #include <algorithm>
+#include <bit>
 #include <thread>
 
 namespace vmmc::sim {
@@ -57,6 +58,14 @@ void ParallelEngine::Finalize() {
           std::make_unique<SpscChannel>(options_.channel_capacity);
     }
   }
+  for (auto& shard : shards_) {
+    for (auto& bank : shard->inbox) {
+      bank = std::make_unique<std::atomic<std::uint64_t>[]>(InboxWords());
+      for (std::size_t w = 0; w < InboxWords(); ++w) {
+        bank[w].store(0, std::memory_order_relaxed);
+      }
+    }
+  }
 }
 
 int ParallelEngine::WorkerCount() const {
@@ -65,19 +74,41 @@ int ParallelEngine::WorkerCount() const {
 }
 
 void ParallelEngine::DrainShard(int shard, std::uint64_t iter) {
-  Simulator& sim = *shards_[static_cast<std::size_t>(shard)]->sim;
+  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+  Simulator& sim = *sh.sim;
   const auto n = static_cast<std::size_t>(num_shards());
-  for (std::size_t from = 0; from < n; ++from) {
-    SpscChannel* ch = channels_[from * n + static_cast<std::size_t>(shard)].get();
-    if (ch == nullptr) continue;
-    ch->Drain(iter, [&sim](Tick t, MovableFn&& fn) {
-      // Zero-lookahead edges (stall notices, Ethernet handoffs) may carry
-      // a time the receiver has already passed; clamp deterministically
-      // to its current instant. Lookahead-respecting events (t in a
-      // future window) are never clamped.
-      sim.At(std::max(t, sim.now()), [f = std::move(fn)]() mutable { f(); });
-    });
+  std::atomic<std::uint64_t>* inbox = sh.inbox[iter & 1].get();
+  // Flagged sources in ascending shard order: the same (time, source
+  // shard, push order) merge as visiting every channel.
+  for (std::size_t w = 0; w < InboxWords(); ++w) {
+    std::uint64_t from_bits = inbox[w].exchange(0, std::memory_order_relaxed);
+    while (from_bits != 0) {
+      const std::size_t from =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(from_bits));
+      from_bits &= from_bits - 1;
+      SpscChannel& ch = *channels_[from * n + static_cast<std::size_t>(shard)];
+      ch.Drain(iter, [&sim](Tick t, MovableFn&& fn) {
+        // Zero-lookahead edges (stall notices, Ethernet handoffs) may
+        // carry a time the receiver has already passed; clamp
+        // deterministically to its current instant. Lookahead-respecting
+        // events (t in a future window) are never clamped.
+        sim.At(std::max(t, sim.now()), [f = std::move(fn)]() mutable { f(); });
+      });
+    }
   }
+}
+
+void ParallelEngine::CommitShard(int shard, std::uint64_t iter) {
+  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+  const auto from = static_cast<std::size_t>(shard);
+  for (const int to : sh.dirty_out) {
+    ChannelTo(shard, to).Commit(iter);
+    // Relaxed: the receiver reads its inbox after the exec barrier, whose
+    // release store follows this commit.
+    shards_[static_cast<std::size_t>(to)]->inbox[iter & 1][from / 64].fetch_or(
+        std::uint64_t{1} << (from % 64), std::memory_order_relaxed);
+  }
+  sh.dirty_out.clear();
 }
 
 void ParallelEngine::WorkerLoop(int worker, int num_workers,
@@ -134,11 +165,7 @@ void ParallelEngine::WorkerLoop(int worker, int num_workers,
     for (int s = worker; s < n; s += num_workers) {
       Shard& sh = *shards_[static_cast<std::size_t>(s)];
       sh.sim->RunWindow(end);
-      const auto sn = static_cast<std::size_t>(n);
-      for (std::size_t to = 0; to < sn; ++to) {
-        SpscChannel* ch = channels_[static_cast<std::size_t>(s) * sn + to].get();
-        if (ch != nullptr) ch->Commit(k);
-      }
+      CommitShard(s, k);
       sh.exec_done.store(k, std::memory_order_release);
     }
   }
@@ -151,13 +178,7 @@ std::uint64_t ParallelEngine::RunImpl(const std::function<bool()>* pred) {
   stop_iter_.store(0, std::memory_order_relaxed);
   // Anything pushed between runs (cluster assembly, test harnesses run
   // on the caller's thread) becomes visible at the first drain.
-  const auto n = static_cast<std::size_t>(num_shards());
-  for (std::size_t from = 0; from < n; ++from) {
-    for (std::size_t to = 0; to < n; ++to) {
-      SpscChannel* ch = channels_[from * n + to].get();
-      if (ch != nullptr) ch->Commit(next_iter_ - 1);
-    }
-  }
+  for (int s = 0; s < num_shards(); ++s) CommitShard(s, next_iter_ - 1);
   // The run resumes at the iteration the last one returned from, whose
   // drain barrier every shard already passed. Rewind it, or a worker
   // would execute that iteration's window before worker 0 has evaluated
