@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "vmmc/params.h"
-#include "vmmc/sim/process.h"
 #include "vmmc/sim/simulator.h"
 
 namespace vmmc::host {
@@ -19,8 +18,10 @@ class HostCpu {
 
   const HostParams& params() const { return params_; }
 
-  // Busy-executes for `t`.
-  sim::Process Charge(sim::Tick t) { co_await sim_.Delay(t); }
+  // Busy-executes for `t`. Charge and Bcopy are plain awaitables over
+  // Simulator::Delay, not coroutines: they need no frame, and Bcopy
+  // records its copy at the call, so await the result at once.
+  [[nodiscard]] auto Charge(sim::Tick t) { return sim_.Delay(t); }
 
   // Cost of copying `bytes` with the library bcopy (§5.4: ~50 MB/s).
   sim::Tick BcopyCost(std::uint64_t bytes) const {
@@ -28,10 +29,10 @@ class HostCpu {
   }
 
   // Copies `bytes` at library-bcopy speed and records the copy.
-  sim::Process Bcopy(std::uint64_t bytes) {
+  [[nodiscard]] auto Bcopy(std::uint64_t bytes) {
     bcopy_bytes_ += bytes;
     ++bcopy_calls_;
-    co_await sim_.Delay(BcopyCost(bytes));
+    return sim_.Delay(BcopyCost(bytes));
   }
 
   std::uint64_t bcopy_bytes() const { return bcopy_bytes_; }

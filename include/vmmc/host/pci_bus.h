@@ -28,9 +28,12 @@ class PciBus {
   sim::Tick PioReadCost(int words = 1) const { return words * params_.pio_read; }
   sim::Tick PioWriteCost(int words = 1) const { return words * params_.pio_write; }
 
-  // Programmed I/O across the bus; the calling coroutine is busy.
-  sim::Process PioRead(int words) { co_await sim_.Delay(PioReadCost(words)); }
-  sim::Process PioWrite(int words) { co_await sim_.Delay(PioWriteCost(words)); }
+  // Programmed I/O across the bus; the calling coroutine is busy. Plain
+  // awaitables over Simulator::Delay: no coroutine frame per access.
+  [[nodiscard]] auto PioRead(int words) { return sim_.Delay(PioReadCost(words)); }
+  [[nodiscard]] auto PioWrite(int words) {
+    return sim_.Delay(PioWriteCost(words));
+  }
 
   // One DMA burst of `bytes` (either direction). Waits for the bus, then
   // holds it for dma_init + bytes/peak.

@@ -31,11 +31,13 @@ class LanaiCpu {
 
   const LanaiParams& params() const { return params_; }
 
-  // Executes LCP work costing `t`.
-  sim::Process Exec(sim::Tick t) {
+  // Executes LCP work costing `t`: `co_await cpu.Exec(t)`. A plain
+  // awaitable, not a coroutine, so it needs no frame; the busy time is
+  // booked at the call, which is why the result must be awaited at once.
+  [[nodiscard]] auto Exec(sim::Tick t) {
     busy_ += t;
     if (exec_ns_m_ != nullptr) exec_ns_m_->Inc(static_cast<std::uint64_t>(t));
-    co_await sim_.Delay(t);
+    return sim_.Delay(t);
   }
 
   sim::Tick busy_time() const { return busy_; }

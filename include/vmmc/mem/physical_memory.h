@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "vmmc/mem/types.h"
@@ -30,7 +28,9 @@ class PhysicalMemory {
 
   Result<Pfn> AllocFrame();
   Status FreeFrame(Pfn pfn);
-  bool IsAllocated(Pfn pfn) const { return allocated_.contains(pfn); }
+  bool IsAllocated(Pfn pfn) const {
+    return pfn < num_frames_ && allocated_[pfn];
+  }
 
   // Byte access; may cross frame boundaries. Reads of never-written memory
   // return zeros. Out-of-range access is a checked failure.
@@ -45,13 +45,23 @@ class PhysicalMemory {
  private:
   using Frame = std::array<std::uint8_t, kPageSize>;
 
-  Frame* BackingFor(Pfn pfn) const;  // nullptr if untouched
+  Frame* BackingFor(Pfn pfn) const {
+    const std::uint32_t slot = slot_of_[pfn];
+    return slot == 0 ? nullptr : backing_[slot - 1].get();
+  }
   Frame& EnsureBacking(Pfn pfn);
 
+  // The frame table: dense per-PFN arrays, so every simulated read and
+  // write finds its frame by indexing, not hashing. A PFN maps to a
+  // 32-bit slot in `backing_` (0: untouched), and the free list holds
+  // 32-bit PFNs (a node has far fewer than 2^32 frames), so the table
+  // costs no more memory per frame than the 64-bit free list alone did.
   std::uint64_t num_frames_;
-  std::vector<Pfn> free_list_;  // popped from the back
-  std::unordered_set<Pfn> allocated_;
-  mutable std::unordered_map<Pfn, std::unique_ptr<Frame>> backing_;
+  std::vector<std::uint32_t> free_list_;  // popped from the back
+  std::vector<bool> allocated_;
+  std::vector<std::uint32_t> slot_of_;    // per PFN: backing_ index + 1
+  std::vector<std::unique_ptr<Frame>> backing_;  // touched frames
+  std::vector<std::uint32_t> free_slots_;  // backing_ entries to reuse
 };
 
 }  // namespace vmmc::mem

@@ -34,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -44,6 +43,7 @@
 #include "vmmc/obs/metrics.h"
 #include "vmmc/params.h"
 #include "vmmc/sim/fault.h"
+#include "vmmc/sim/frame_pool.h"
 #include "vmmc/sim/rng.h"
 #include "vmmc/sim/simulator.h"
 #include "vmmc/util/status.h"
@@ -197,7 +197,7 @@ class Switch : public Endpoint {
   // One output port's buffered packets (wire-bytes bounded by
   // switch_port_queue_bytes) with their enqueue times.
   struct OutPort {
-    std::deque<std::pair<Packet, sim::Tick>> queue;
+    sim::PooledDeque<std::pair<Packet, sim::Tick>> queue;
     std::size_t bytes = 0;
     bool draining = false;
   };

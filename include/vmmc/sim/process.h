@@ -24,6 +24,8 @@
 #include <exception>
 #include <utility>
 
+#include "vmmc/sim/frame_pool.h"
+
 namespace vmmc::sim {
 
 namespace detail {
@@ -73,6 +75,14 @@ class [[nodiscard]] Process {
     bool detached = false;
     std::coroutine_handle<> joiner;
     std::exception_ptr error;
+
+    // Frames come from the recycling frame pool (sim/frame_pool.h).
+    static void* operator new(std::size_t n) {
+      return detail::FramePool::Allocate(n);
+    }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      detail::FramePool::Free(p, n);
+    }
 
     Process get_return_object() {
       return Process(Handle::from_promise(*this));

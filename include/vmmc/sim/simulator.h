@@ -251,7 +251,7 @@ class Simulator {
 
   // Awaitable: suspends the calling coroutine for `delay` ticks.
   // `co_await sim.Delay(0)` yields through the event queue (fair handoff).
-  auto Delay(Tick delay) {
+  [[nodiscard]] auto Delay(Tick delay) {
     struct Awaiter {
       Simulator& sim;
       Tick delay;

@@ -6,11 +6,11 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "vmmc/sim/frame_pool.h"
 #include "vmmc/sim/simulator.h"
 
 namespace vmmc::sim {
@@ -105,7 +105,7 @@ class Semaphore {
  private:
   Simulator& sim_;
   std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  PooledDeque<std::coroutine_handle<>> waiters_;
 };
 
 // RAII permit: `auto lock = co_await ScopedAcquire(sem);`
@@ -209,8 +209,8 @@ class Mailbox {
   };
 
   Simulator& sim_;
-  std::deque<T> items_;
-  std::deque<Waiter*> waiters_;
+  PooledDeque<T> items_;
+  PooledDeque<Waiter*> waiters_;
 };
 
 }  // namespace vmmc::sim

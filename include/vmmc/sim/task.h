@@ -27,6 +27,14 @@ class [[nodiscard]] Task {
     std::exception_ptr error;
     std::optional<T> value;
 
+    // Frames come from the recycling frame pool (sim/frame_pool.h).
+    static void* operator new(std::size_t n) {
+      return detail::FramePool::Allocate(n);
+    }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      detail::FramePool::Free(p, n);
+    }
+
     Task get_return_object() { return Task(Handle::from_promise(*this)); }
     std::suspend_always initial_suspend() noexcept { return {}; }
 

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -97,8 +96,9 @@ struct SendRequest {
   util::Buffer inline_data;                // short sends (pooled, COW)
   bool notify = false;
   std::uint32_t slot = 0;                  // completion slot
-  std::unique_ptr<DirectSend> direct;      // one-sided write (null: proxy)
-  std::unique_ptr<ReadRequest> read;       // one-sided read (null otherwise)
+  // Held inline, not behind a pointer: a request is built per message.
+  std::optional<DirectSend> direct;        // one-sided write (empty: proxy)
+  std::optional<ReadRequest> read;         // one-sided read (empty otherwise)
 };
 
 // NIC-resident state of one process using VMMC (all accounted in SRAM).
@@ -115,7 +115,7 @@ class ProcState {
   // Send queue, bounded by send_queue_entries; the host acquires a slot
   // token before writing an entry.
   sim::Semaphore& queue_slots() { return queue_slots_; }
-  std::deque<SendRequest>& send_queue() { return send_queue_; }
+  sim::PooledDeque<SendRequest>& send_queue() { return send_queue_; }
 
   // Completion words live in pinned user memory at completion_base; the
   // events model the cache line the user spins on.
@@ -150,7 +150,7 @@ class ProcState {
   OutgoingPageTable outgoing_;
   SwTlb tlb_;
   sim::Semaphore queue_slots_;
-  std::deque<SendRequest> send_queue_;
+  sim::PooledDeque<SendRequest> send_queue_;
 };
 
 // A notification waiting for the driver to deliver (§2: invoke a user-level
@@ -329,7 +329,7 @@ class VmmcLcp : public lanai::Lcp {
   std::vector<std::unique_ptr<ProcState>> procs_;
   std::size_t rr_cursor_ = 0;  // round-robin over send queues
   std::unique_ptr<IncomingPageTable> incoming_;  // sized at Run (needs machine)
-  std::deque<PendingNotification> notifications_;
+  sim::PooledDeque<PendingNotification> notifications_;
   // Ordered by rtag: UnregisterProcess walks this map freeing SRAM
   // regions, and the free-list order must not depend on hash order
   // (vmmc-lint R2 / determinism contract).
@@ -351,7 +351,7 @@ class VmmcLcp : public lanai::Lcp {
     std::uint64_t fin_offset = 0;
     std::uint32_t fin_value = 0;
   };
-  std::deque<ReadServe> read_serves_;
+  sim::PooledDeque<ReadServe> read_serves_;
   Stats stats_;
 
   // Pipelining machinery.
@@ -372,7 +372,7 @@ class VmmcLcp : public lanai::Lcp {
   struct PeerTx {
     explicit PeerTx(std::uint32_t window) : gbn(window) {}
     GbnSender gbn;
-    std::deque<RetxSlot> unacked;
+    sim::PooledDeque<RetxSlot> unacked;
     sim::Tick cur_rto = 0;
     std::uint64_t timer_gen = 0;  // bumping it cancels the armed timer
     bool fast_retx_pending = false;  // coalesces bursts of drop notices

@@ -3,17 +3,23 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "vmmc/sim/rng.h"
 
 namespace vmmc::mem {
 
 PhysicalMemory::PhysicalMemory(std::uint64_t bytes, std::uint64_t scatter_seed)
-    : num_frames_(bytes / kPageSize) {
+    : num_frames_(bytes / kPageSize),
+      allocated_(num_frames_, false),
+      slot_of_(num_frames_, 0) {
   assert(bytes % kPageSize == 0);
+  assert(num_frames_ <= std::uint64_t{UINT32_MAX} + 1);
   free_list_.reserve(num_frames_);
   // Fill descending so pops from the back yield ascending PFNs by default.
-  for (std::uint64_t i = num_frames_; i > 0; --i) free_list_.push_back(i - 1);
+  for (std::uint64_t i = num_frames_; i > 0; --i) {
+    free_list_.push_back(static_cast<std::uint32_t>(i - 1));
+  }
   if (scatter_seed != 0) {
     sim::Rng rng(scatter_seed);
     for (std::size_t i = free_list_.size(); i > 1; --i) {
@@ -25,31 +31,36 @@ PhysicalMemory::PhysicalMemory(std::uint64_t bytes, std::uint64_t scatter_seed)
 
 Result<Pfn> PhysicalMemory::AllocFrame() {
   if (free_list_.empty()) return ResourceExhausted("out of physical frames");
-  Pfn pfn = free_list_.back();
+  const Pfn pfn = free_list_.back();
   free_list_.pop_back();
-  allocated_.insert(pfn);
+  allocated_[pfn] = true;
   return pfn;
 }
 
 Status PhysicalMemory::FreeFrame(Pfn pfn) {
-  if (!allocated_.erase(pfn)) return InvalidArgument("frame not allocated");
-  backing_.erase(pfn);
-  free_list_.push_back(pfn);
+  if (!IsAllocated(pfn)) return InvalidArgument("frame not allocated");
+  allocated_[pfn] = false;
+  if (const std::uint32_t slot = std::exchange(slot_of_[pfn], 0); slot != 0) {
+    backing_[slot - 1].reset();
+    free_slots_.push_back(slot - 1);
+  }
+  free_list_.push_back(static_cast<std::uint32_t>(pfn));
   return OkStatus();
 }
 
-PhysicalMemory::Frame* PhysicalMemory::BackingFor(Pfn pfn) const {
-  auto it = backing_.find(pfn);
-  return it == backing_.end() ? nullptr : it->second.get();
-}
-
 PhysicalMemory::Frame& PhysicalMemory::EnsureBacking(Pfn pfn) {
-  auto& slot = backing_[pfn];
-  if (!slot) {
-    slot = std::make_unique<Frame>();
-    slot->fill(0);
+  if (Frame* f = BackingFor(pfn)) return *f;
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(backing_.size());
+    backing_.emplace_back();
   }
-  return *slot;
+  backing_[slot] = std::make_unique<Frame>();  // value-initialized: zeros
+  slot_of_[pfn] = slot + 1;
+  return *backing_[slot];
 }
 
 const std::uint8_t* PhysicalMemory::HostPtr(PhysAddr addr) {

@@ -99,8 +99,7 @@ void Switch::OnPacket(Packet packet, sim::Tick tail_time, Link* from) {
     if (drop_handler_) drop_handler_(std::move(packet));
     return;
   }
-  const int port = packet.route.front();
-  packet.route.erase(packet.route.begin());
+  const int port = packet.route.pop_front();
   if (port >= num_ports() || out_links_[static_cast<std::size_t>(port)] == nullptr) {
     ++dropped_;
     if (dropped_m_ != nullptr) dropped_m_->Inc();
@@ -405,24 +404,33 @@ Result<Route> Fabric::ComputeRoute(int src_nic, int dst_nic) const {
   // recording (switch, entry route). The route is the port byte consumed at
   // each traversed switch; the final byte exits to the destination NIC.
   // Deterministic: switches and ports are explored in id order, so ties
-  // always resolve the same way.
+  // always resolve the same way. A path needing more than
+  // Route::kCapacity bytes is a definite error, never a truncated route.
   struct State {
     int switch_id;
     Route route;
+  };
+  auto too_long = [] {
+    return OutOfRange("shortest path crosses more than " +
+                      std::to_string(Route::kCapacity) +
+                      " switches, the source-route capacity");
   };
   std::deque<State> frontier;
   std::vector<bool> visited(static_cast<std::size_t>(num_switches()), false);
   frontier.push_back({src.switch_id, {}});
   visited[static_cast<std::size_t>(src.switch_id)] = true;
+  bool truncated = false;  // some switch was only reachable past capacity
 
   while (!frontier.empty()) {
-    State cur = std::move(frontier.front());
+    State cur = frontier.front();
     frontier.pop_front();
     const Switch& sw = *switches_[static_cast<std::size_t>(cur.switch_id)];
 
     if (cur.switch_id == dst.switch_id) {
       Route full = cur.route;
-      full.push_back(static_cast<std::uint8_t>(dst.switch_port));
+      if (!full.push_back(static_cast<std::uint8_t>(dst.switch_port))) {
+        return too_long();
+      }
       return full;
     }
 
@@ -435,12 +443,16 @@ Result<Route> Fabric::ComputeRoute(int src_nic, int dst_nic) const {
             !visited[static_cast<std::size_t>(s2)]) {
           visited[static_cast<std::size_t>(s2)] = true;
           Route r = cur.route;
-          r.push_back(static_cast<std::uint8_t>(port));
-          frontier.push_back({s2, std::move(r)});
+          if (!r.push_back(static_cast<std::uint8_t>(port))) {
+            truncated = true;
+            continue;
+          }
+          frontier.push_back({s2, r});
         }
       }
     }
   }
+  if (truncated) return too_long();
   return NotFound("no route between nics");
 }
 

@@ -359,7 +359,7 @@ sim::Task<Result<SendHandle>> Endpoint::RdmaWriteAsync(mem::VirtAddr src,
   SendRequest req;
   req.len = len;
   req.src_va = src;
-  req.direct = std::make_unique<DirectSend>(
+  req.direct.emplace(
       DirectSend{static_cast<std::uint32_t>(dst.node), dst.rtag, dst.offset,
                  options.fin_rtag, options.fin_offset, options.fin_value});
   co_return co_await PostOneSided(std::move(req));
@@ -419,7 +419,7 @@ sim::Task<Status> Endpoint::RdmaRead(RemoteTarget src, std::uint32_t len,
 
   SendRequest req;
   req.len = len;
-  req.read = std::make_unique<ReadRequest>(
+  req.read.emplace(
       ReadRequest{static_cast<std::uint32_t>(src.node), src.rtag, src.offset,
                   dst.rtag, dst_offset, fin_region_.rtag, fin_slot * 4, op});
   auto handle = co_await PostOneSided(std::move(req));

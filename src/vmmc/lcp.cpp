@@ -466,7 +466,7 @@ sim::Process VmmcLcp::StartSend(lanai::NicCard& nic, ProcState& proc,
     FinishRequest(proc, req.slot, SendStatus::kBadLength);
     co_return;
   }
-  if (req.read != nullptr) {
+  if (req.read.has_value()) {
     // One-sided read: a single control packet toward the serving node.
     const std::uint32_t dst_node = req.read->src_node;
     if (dst_node >= routes_.size()) {
@@ -483,7 +483,7 @@ sim::Process VmmcLcp::StartSend(lanai::NicCard& nic, ProcState& proc,
     }
     co_return;
   }
-  if (req.direct != nullptr) {
+  if (req.direct.has_value()) {
     // One-sided write: rtag addressing, no proxy validation here — the
     // serving side's region table is the protection boundary. Any length
     // goes through the chunked path (the data is in user memory, not the
@@ -585,7 +585,7 @@ sim::Process VmmcLcp::HandleShortSend(lanai::NicCard& nic, ProcState& proc,
 
 sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
   assert(proc.active.has_value());
-  if (proc.active->req.read != nullptr) {
+  if (proc.active->req.read.has_value()) {
     // A read request parked on a closed window; the scheduler only
     // re-runs it once the window reopened.
     co_await SendReadRequest(nic, proc, proc.active->req);
@@ -600,7 +600,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
     proc.active.reset();
     co_return;
   }
-  if (proc.active->req.direct == nullptr &&
+  if (!proc.active->req.direct.has_value() &&
       proc.active->req.len <= params_.vmmc.short_send_max) {
     // A short send parked on a closed window (StartSend); the scheduler
     // only re-runs it once the window reopened.
@@ -653,7 +653,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
   std::uint32_t dst_node = 0;
   std::uint64_t pa0 = 0;
   std::uint64_t pa1 = 0;
-  if (req.direct != nullptr) {
+  if (req.direct.has_value()) {
     dst_node = req.direct->dst_node;
     pa0 = ChunkHeader::PackRtag(req.direct->rtag,
                                 req.direct->offset + as.offset);
@@ -714,7 +714,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
   h.type = PacketType::kData;
   h.flags = (last ? ChunkHeader::kFlagLastChunk : 0) |
             (req.notify ? ChunkHeader::kFlagNotify : 0) |
-            (req.direct != nullptr ? ChunkHeader::kFlagRtag : 0);
+            (req.direct.has_value() ? ChunkHeader::kFlagRtag : 0);
   h.src_node = static_cast<std::uint16_t>(nic.nic_id());
   h.msg_len = req.len;
   h.chunk_len = chunk_len;
@@ -743,7 +743,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
   }
   as.offset += chunk_len;
   if (last) {
-    if (req.direct != nullptr && req.direct->fin_rtag != 0) {
+    if (req.direct.has_value() && req.direct->fin_rtag != 0) {
       as.fin_stage = true;  // the 4-byte fin chunk still has to go out
     } else {
       proc.active.reset();

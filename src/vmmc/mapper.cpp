@@ -22,7 +22,7 @@ sim::Process MappingLcp::Run(lanai::NicCard& nic) {
         reply.src_node = static_cast<std::uint16_t>(nic.nic_id());
         reply.tag = h.tag;
         myrinet::Packet pkt;
-        pkt.route.assign(decoded->data.begin(), decoded->data.end());
+        if (!pkt.route.assign(decoded->data)) continue;  // not a route
         pkt.payload = EncodeChunk(reply, {});
         co_await nic.NetSend(std::move(pkt));
       } else if (h.type == PacketType::kMapReply) {

@@ -23,9 +23,22 @@ sim::Process RunAndStamp(sim::Simulator& sim, sim::Process inner, Tick& done) {
   done = sim.now();
 }
 
+// Charge and Bcopy are awaitables, not coroutines: await them inside one.
+sim::Process ChargeAndStamp(sim::Simulator& sim, HostCpu& cpu, Tick t,
+                            Tick& done) {
+  co_await cpu.Charge(t);
+  done = sim.now();
+}
+
+sim::Process BcopyAndStamp(sim::Simulator& sim, HostCpu& cpu,
+                           std::uint64_t bytes, Tick& done) {
+  co_await cpu.Bcopy(bytes);
+  done = sim.now();
+}
+
 TEST_F(HostTest, CpuChargeAdvancesTime) {
   Tick done = -1;
-  sim_.Spawn(RunAndStamp(sim_, machine_.cpu().Charge(1234), done));
+  sim_.Spawn(ChargeAndStamp(sim_, machine_.cpu(), 1234, done));
   sim_.Run();
   EXPECT_EQ(done, 1234);
 }
@@ -36,7 +49,7 @@ TEST_F(HostTest, BcopyCostMatches50MBs) {
   EXPECT_NEAR(static_cast<double>(cost), 20.97e6,
               0.03e6 + params_.host.bcopy_call);
   Tick done = -1;
-  sim_.Spawn(RunAndStamp(sim_, machine_.cpu().Bcopy(4096), done));
+  sim_.Spawn(BcopyAndStamp(sim_, machine_.cpu(), 4096, done));
   sim_.Run();
   EXPECT_EQ(done, machine_.cpu().BcopyCost(4096));
   EXPECT_EQ(machine_.cpu().bcopy_bytes(), 4096u);

@@ -11,7 +11,12 @@
 //    produced at — with copy-on-write kicking in exactly once when a fault
 //    flips a bit,
 //  * the LCP steady-state send path serves every payload from the Buffer
-//    pool (no heap growth) and never deep-copies into the retx-pool.
+//    pool (no heap growth) and never deep-copies into the retx-pool,
+//  * coroutine frames are recycled (sim/frame_pool.h), so a warmed nested
+//    chain of Process and Task<T> children, a warmed SendMsg and a warmed
+//    RdmaRead make no heap allocation at all,
+//  * a source route lives inline in its packet up to Route::kCapacity
+//    switches, and a longer path is a definite routing error.
 //
 // It lives in its own test binary because the operator new override is
 // global to the process.
@@ -20,7 +25,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "co_test_util.h"
@@ -29,6 +36,7 @@
 #include "vmmc/sim/fault.h"
 #include "vmmc/sim/process.h"
 #include "vmmc/sim/simulator.h"
+#include "vmmc/sim/task.h"
 #include "vmmc/util/buffer.h"
 #include "vmmc/vmmc/cluster.h"
 
@@ -143,6 +151,35 @@ TEST(PerfGuardTest, WarmedWaitChangeRotationsAreAllocationFree) {
   ASSERT_EQ(done, 1);
 }
 
+sim::Process LeafHop(Simulator& sim) { co_await sim.Delay(1); }
+
+sim::Task<int> MiddleHop(Simulator& sim, int i) {
+  co_await LeafHop(sim);
+  co_return i + 1;
+}
+
+sim::Process NestedChain(Simulator& sim, int rounds, int& sum) {
+  for (int i = 0; i < rounds; ++i) sum += co_await MiddleHop(sim, i) - i;
+}
+
+TEST(PerfGuardTest, WarmedNestedProcessTaskChainIsAllocationFree) {
+  Simulator sim;
+  constexpr int kRounds = 20000;
+  int sum = 0;
+  // Warm: the first round allocates one frame of each size; every later
+  // round reuses them from the frame pool.
+  sim.Spawn(NestedChain(sim, 1, sum));
+  sim.Run();
+  ASSERT_EQ(sum, 1);
+
+  const std::uint64_t before = g_new_calls;
+  sim.Spawn(NestedChain(sim, kRounds, sum));
+  sim.Run();
+  EXPECT_EQ(g_new_calls - before, 0u)
+      << "awaiting Process and Task<T> children must recycle their frames";
+  EXPECT_EQ(sum, 1 + kRounds);
+}
+
 // --- Fabric: payloads travel by reference ---------------------------------
 
 // Endpoint that records where each delivered payload's bytes live. Storage
@@ -215,7 +252,7 @@ TEST(PerfGuardTest, FabricForwardingIsZeroCopyAcrossSwitchHops) {
   ASSERT_EQ(fx.b.ptrs().size(), 8u);
 
   // Pre-build the measured packets (payload blocks come from the warmed
-  // pool; route vectors allocate here, before the measurement window).
+  // pool; the route is inline in each packet).
   std::vector<Packet> packets;
   packets.reserve(kPackets);
   std::vector<const std::uint8_t*> sources;
@@ -339,6 +376,147 @@ TEST(PerfGuardTest, LcpSteadyStateServesPayloadsFromPool) {
   // ...and nothing deep-copies: hand-offs into the retx-pool and across
   // hops are ref bumps (no faults are configured, so no COW either).
   EXPECT_EQ(d.unshares, 0u) << "steady-state send path deep-copied a payload";
+}
+
+// --- Raw VMMC data path: warmed SendMsg and RdmaRead never allocate -------
+
+// A booted two-node cluster with one endpoint per node.
+struct TwoNodeApi {
+  // Long enough for every pooled queue chunk and frame size to reach its
+  // peak count: a deque straddles one more chunk only at some offsets.
+  static constexpr int kWarm = 512;
+  static constexpr int kMeasured = 64;
+
+  Simulator sim;
+  Params params;
+  vmmc_core::Cluster cluster{sim, params, Options()};
+  std::unique_ptr<vmmc_core::Endpoint> a;
+  std::unique_ptr<vmmc_core::Endpoint> b;
+  bool done = false;
+  std::uint64_t new_calls = 0;  // over the measured operations
+
+  static vmmc_core::ClusterOptions Options() {
+    vmmc_core::ClusterOptions options;
+    options.num_nodes = 2;
+    return options;
+  }
+
+  bool Open() {
+    if (!cluster.Boot().ok()) return false;
+    auto ea = cluster.OpenEndpoint(0, "a");
+    auto eb = cluster.OpenEndpoint(1, "b");
+    if (!ea.ok() || !eb.ok()) return false;
+    a = std::move(ea).value();
+    b = std::move(eb).value();
+    return true;
+  }
+
+  // Runs `prog` until it sets `done`.
+  bool Run(sim::Process prog) {
+    sim.Spawn(std::move(prog));
+    return sim.RunUntil([&] { return done; }, 2'000'000'000);
+  }
+};
+
+TEST(PerfGuardTest, WarmedSendMsgIsAllocationFree) {
+  TwoNodeApi t;
+  ASSERT_TRUE(t.Open());
+  auto prog = [&t]() -> sim::Process {
+    constexpr std::uint32_t kRecvLen = 64 * 1024;
+    auto buf = t.b->AllocBuffer(kRecvLen);
+    CO_ASSERT_TRUE(buf.ok());
+    vmmc_core::ExportOptions opts;
+    opts.name = "sendmsg";
+    auto id = co_await t.b->ExportBuffer(buf.value(), kRecvLen, std::move(opts));
+    CO_ASSERT_TRUE(id.ok());
+    vmmc_core::ImportOptions wait;
+    wait.wait = true;
+    auto imp = co_await t.a->ImportBuffer(1, "sendmsg", wait);
+    CO_ASSERT_TRUE(imp.ok());
+    auto src = t.a->AllocBuffer(4096);
+    CO_ASSERT_TRUE(src.ok());
+    CO_ASSERT_TRUE(
+        t.a->WriteBuffer(src.value(), std::vector<std::uint8_t>(4096, 0x3C)).ok());
+    // One-word (the Figure 2 case) and one-page messages, alternating.
+    std::uint64_t before = 0;
+    for (int i = 0; i < TwoNodeApi::kWarm + TwoNodeApi::kMeasured; ++i) {
+      if (i == TwoNodeApi::kWarm) before = g_new_calls;
+      const std::uint32_t len = i % 2 == 0 ? 4 : 4096;
+      Status s = co_await t.a->SendMsg(src.value(), imp.value().proxy_base, len);
+      CO_ASSERT_TRUE(s.ok());
+    }
+    t.new_calls = g_new_calls - before;
+    t.done = true;
+  };
+  ASSERT_TRUE(t.Run(prog()));
+  EXPECT_EQ(t.new_calls, 0u) << "over " << TwoNodeApi::kMeasured << " warmed SendMsg calls";
+}
+
+TEST(PerfGuardTest, WarmedRdmaReadIsAllocationFree) {
+  TwoNodeApi t;
+  ASSERT_TRUE(t.Open());
+  auto prog = [&t]() -> sim::Process {
+    constexpr std::uint32_t kLen = 8192;
+    auto src = t.b->AllocBuffer(kLen);
+    CO_ASSERT_TRUE(src.ok());
+    CO_ASSERT_TRUE(
+        t.b->WriteBuffer(src.value(), std::vector<std::uint8_t>(kLen, 0x7E)).ok());
+    auto sreg = co_await t.b->RegisterMemory(src.value(), kLen,
+                                            vmmc_core::RegIntent::kRecv);
+    CO_ASSERT_TRUE(sreg.ok());
+    auto dst = t.a->AllocBuffer(kLen);
+    CO_ASSERT_TRUE(dst.ok());
+    auto dreg = co_await t.a->RegisterMemory(dst.value(), kLen,
+                                            vmmc_core::RegIntent::kRecv);
+    CO_ASSERT_TRUE(dreg.ok());
+    std::uint64_t before = 0;
+    for (int i = 0; i < TwoNodeApi::kWarm + TwoNodeApi::kMeasured; ++i) {
+      if (i == TwoNodeApi::kWarm) before = g_new_calls;
+      Status r = co_await t.a->RdmaRead(
+          vmmc_core::RemoteTarget{1, sreg.value().rtag, 0}, kLen, dreg.value());
+      CO_ASSERT_TRUE(r.ok());
+    }
+    t.new_calls = g_new_calls - before;
+    t.done = true;
+  };
+  ASSERT_TRUE(t.Run(prog()));
+  EXPECT_EQ(t.new_calls, 0u) << "over " << TwoNodeApi::kMeasured << " warmed RdmaRead calls";
+}
+
+// --- Inline source routes: full capacity delivers, one more is an error ----
+
+TEST(PerfGuardTest, RouteAtInlineCapacityDeliversAndLongerIsAnError) {
+  constexpr int kMax = static_cast<int>(myrinet::Route::kCapacity);
+  for (int switches : {kMax, kMax + 1}) {
+    Simulator sim;
+    Params params;
+    Fabric fabric(sim, params.net);
+    PtrSink a, b;
+    // One NIC slot per switch; the two NICs sit at the ends of the chain,
+    // so the route needs one byte per switch.
+    TopologyPlan plan = BuildSwitchChain(fabric, switches, /*per_switch=*/1);
+    const int na = fabric.AddNic(&a);
+    const int nb = fabric.AddNic(&b);
+    const auto& first = plan.nic_slots.front();
+    const auto& last = plan.nic_slots.back();
+    ASSERT_TRUE(fabric.ConnectNic(na, first.switch_id, first.port).ok());
+    ASSERT_TRUE(fabric.ConnectNic(nb, last.switch_id, last.port).ok());
+    auto route = fabric.ComputeRoute(na, nb);
+    if (switches > kMax) {
+      ASSERT_FALSE(route.ok()) << "a route past capacity must not be truncated";
+      EXPECT_EQ(route.status().code(), ErrorCode::kOutOfRange);
+      continue;
+    }
+    ASSERT_TRUE(route.ok()) << route.status().ToString();
+    ASSERT_EQ(route.value().size(), myrinet::Route::kCapacity);
+    Packet p;
+    p.route = route.value();
+    p.payload.assign(64, 0x42);
+    ASSERT_TRUE(fabric.Inject(na, std::move(p)).ok());
+    sim.Run();
+    ASSERT_EQ(b.ptrs().size(), 1u) << "full-capacity route not delivered";
+    EXPECT_EQ(b.last_payload(), std::vector<std::uint8_t>(64, 0x42));
+  }
 }
 
 // --- Registration cache: warm hit/release path is allocation-free ----------

@@ -9,6 +9,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "vmmc/myrinet/topology.h"
@@ -240,7 +241,7 @@ TEST(RouteStripTest, TruncatedRouteDropsWithNotice) {
   ASSERT_EQ(full.size(), 3u);
   for (std::size_t keep = 0; keep < full.size(); ++keep) {
     Packet p;
-    p.route.assign(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(keep));
+    ASSERT_TRUE(p.route.assign(std::span<const std::uint8_t>(full).first(keep)));
     p.payload = {static_cast<std::uint8_t>(keep)};
     ASSERT_TRUE(fabric.Inject(0, std::move(p)).ok());
     sim.Run();
